@@ -90,13 +90,6 @@ def _run(pool, stream, shards, batch, executor, repeats=REPEATS, kernel="tree"):
     )
     latency = service.metrics.histogram("latency_seconds").summary()
     executor_obj = service._executor
-    backend = service.executor_backend
-    if hasattr(executor_obj, "workers"):
-        max_workers = executor_obj.workers
-    elif backend == "serial":
-        max_workers = 1
-    else:
-        max_workers = service.shard_count
     run = {
         "groups": service.group_count,
         "verdicts": verdicts,
@@ -111,8 +104,8 @@ def _run(pool, stream, shards, batch, executor, repeats=REPEATS, kernel="tree"):
         # Hardware/backend context: invisible rps comparisons across
         # machines were the motivating bug (a committed process-executor
         # row measured at cpu_count=1 looked like a backend regression).
-        "executor": backend,
-        "max_workers": max_workers,
+        "executor": service.executor_backend,
+        "max_workers": getattr(executor_obj, "workers", 1),
         "cpu_count": os.cpu_count(),
     }
     if hasattr(executor_obj, "bytes_shipped_total"):
@@ -204,12 +197,9 @@ def test_throughput_vs_shards(report, bench_json):
 def test_throughput_vs_executor(report, bench_json):
     """Executor backends must agree verdict-for-verdict; report their cost."""
     pool, stream = _workload()
-    backends = ["serial", "thread", "resident"]
-    if not SMOKE:
-        backends.append("process-roundtrip")
     runs = {
         backend: _run(pool, stream, shards=4, batch=32, executor=backend)
-        for backend in backends
+        for backend in ("serial", "resident")
     }
     reference = runs["serial"]["verdicts"]
     for backend, run in runs.items():
@@ -230,10 +220,9 @@ def test_throughput_vs_executor(report, bench_json):
     lines.append("")
     lines.append(
         "note: process parallelism pays off on multi-core hosts; on a "
-        "single core the serial backend is optimal and the others "
-        "measure pure coordination overhead.  The resident backend's "
-        "per-drain IPC is O(batch) -- the round-trip backend pickles "
-        "whole shard states (O(state)) every drain."
+        "single core the serial backend is optimal and the resident one "
+        "measures pure coordination overhead.  The resident backend's "
+        "per-drain IPC is O(batch): shard state never crosses the pipe."
     )
     report("service_throughput_executors", "\n".join(lines))
     bench_json(

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import (
@@ -73,9 +74,12 @@ from repro.analysis.experiments import (
     render_figure9,
     render_figure10,
 )
+from repro.core.kernel import KERNEL_NAMES, KERNEL_TREE
 from repro.core.validator import GroupedValidator
 from repro.licenses.rel import dumps_pool, loads_pool
 from repro.logstore.io import dump_log, load_log
+from repro.service.config import EXECUTOR_BACKENDS, ServiceConfig
+from repro.validation.limits import DEFAULT_KERNEL_CAP
 from repro.validation.naive import ExpansionValidator, ScanValidator
 from repro.validation.tree import ValidationTree
 from repro.validation.tree_validator import TreeValidator
@@ -89,6 +93,62 @@ if TYPE_CHECKING:  # pragma: no cover - imports for annotations only
     from repro.obs.monitor import Slo
 
 __all__ = ["main", "build_parser"]
+
+
+def _add_workload_flags(
+    parser: argparse.ArgumentParser, *, stream: bool = True
+) -> None:
+    """Add the synthetic-workload knobs of ``serve-bench``, ``serve`` and
+    ``loadgen`` (see :func:`_wire_workload`); ``serve`` only needs the
+    pool's, not the request stream's."""
+    parser.add_argument("-n", "--licenses", type=int, default=24)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--clusters", type=int, default=8)
+    if stream:
+        parser.add_argument("--stream", type=int, default=1000)
+        parser.add_argument("--skew", type=float, default=0.0)
+
+
+def _add_service_flags(parser: argparse.ArgumentParser) -> None:
+    """Add the :class:`ServiceConfig` knobs of ``serve-bench`` and
+    ``serve`` (read back by :func:`_service_config`)."""
+    parser.add_argument("--shards", type=int, default=4)
+    parser.add_argument("--batch", type=int, default=32)
+    parser.add_argument(
+        "--executor", choices=EXECUTOR_BACKENDS, default="serial",
+        help="drain scheduling backend: 'serial' drains in the caller; "
+             "'resident' keeps long-lived worker processes that own "
+             "shard state (O(batch) IPC per drain)",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=0, metavar="N",
+        help="resident-backend worker processes (0 = one per shard)",
+    )
+    parser.add_argument("--queue-capacity", type=int, default=256)
+    parser.add_argument(
+        "--kernel", choices=KERNEL_NAMES, default=KERNEL_TREE,
+        help="per-group equation engine: 'tree' walks the validation tree "
+             "of [10]; 'dense' keeps resident headroom tables for O(1) "
+             "admission (identical verdicts, different cost model)",
+    )
+    parser.add_argument(
+        "--kernel-cap", type=int, default=DEFAULT_KERNEL_CAP, metavar="N",
+        help="largest group size served by the dense kernel; bigger "
+             "groups fall back to the tree walk (default %(default)s)",
+    )
+
+
+def _service_config(args: argparse.Namespace) -> ServiceConfig:
+    """Build the :class:`ServiceConfig` the service flags describe."""
+    return ServiceConfig(
+        shards=args.shards,
+        batch_size=args.batch,
+        queue_capacity=args.queue_capacity,
+        executor=args.executor,
+        workers=args.workers,
+        kernel=args.kernel,
+        kernel_cap=args.kernel_cap,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,40 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve-bench", help="drive a workload through the validation service"
     )
-    serve.add_argument("-n", "--licenses", type=int, default=24)
-    serve.add_argument("--stream", type=int, default=1000)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--shards", type=int, default=4)
-    serve.add_argument("--batch", type=int, default=32)
-    serve.add_argument(
-        "--executor",
-        choices=[
-            "serial", "thread", "process", "process-roundtrip", "resident",
-        ],
-        default="serial",
-        help="drain scheduling backend; 'resident' keeps long-lived "
-             "worker processes that own shard state (O(batch) IPC per "
-             "drain), 'process' is its deprecated alias, "
-             "'process-roundtrip' is the old per-drain state pickler",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="resident-backend worker processes (0 = one per shard)",
-    )
-    serve.add_argument("--queue-capacity", type=int, default=256)
-    serve.add_argument(
-        "--kernel", choices=["tree", "dense"], default="tree",
-        help="per-group equation engine: 'tree' walks the validation tree "
-             "of [10]; 'dense' keeps resident headroom tables for O(1) "
-             "admission (identical verdicts, different cost model)",
-    )
-    serve.add_argument(
-        "--kernel-cap", type=int, default=None, metavar="N",
-        help="largest group size served by the dense kernel; bigger "
-             "groups fall back to the tree walk (default 20)",
-    )
-    serve.add_argument("--clusters", type=int, default=8)
-    serve.add_argument("--skew", type=float, default=0.0)
+    _add_workload_flags(serve)
+    _add_service_flags(serve)
     serve.add_argument(
         "--compare", action="store_true",
         help="also sweep shard counts {1, 2, 4, 8} and print a table",
@@ -239,27 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     wire = commands.add_parser(
         "serve", help="run the wire-level admission server"
     )
-    wire.add_argument("-n", "--licenses", type=int, default=24)
-    wire.add_argument("--seed", type=int, default=0)
-    wire.add_argument("--clusters", type=int, default=8)
-    wire.add_argument("--shards", type=int, default=4)
-    wire.add_argument("--batch", type=int, default=32)
-    wire.add_argument(
-        "--executor",
-        choices=[
-            "serial", "thread", "process", "process-roundtrip", "resident",
-        ],
-        default="serial",
-        help="drain scheduling backend ('resident' = long-lived worker "
-             "processes owning shard state; 'process' is its alias)",
-    )
-    wire.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="resident-backend worker processes (0 = one per shard)",
-    )
-    wire.add_argument("--queue-capacity", type=int, default=256)
-    wire.add_argument("--kernel", choices=["tree", "dense"], default="tree")
-    wire.add_argument("--kernel-cap", type=int, default=None, metavar="N")
+    _add_workload_flags(wire, stream=False)
+    _add_service_flags(wire)
     wire.add_argument("--host", default="127.0.0.1")
     wire.add_argument(
         "--port", type=int, default=0,
@@ -306,11 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument("--host", default="127.0.0.1")
     loadgen.add_argument("--port", type=int, required=True)
-    loadgen.add_argument("-n", "--licenses", type=int, default=24)
-    loadgen.add_argument("--seed", type=int, default=0)
-    loadgen.add_argument("--clusters", type=int, default=8)
-    loadgen.add_argument("--stream", type=int, default=1000)
-    loadgen.add_argument("--skew", type=float, default=0.0)
+    _add_workload_flags(loadgen)
     loadgen.add_argument(
         "--mode", choices=["closed", "open"], default="closed",
         help="closed = fixed concurrency, back-to-back; "
@@ -657,17 +662,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     import time
 
     from repro.analysis.tables import render_table
-    from repro.service import ServiceConfig, ValidationService
+    from repro.service import ValidationService
 
-    config = WorkloadConfig(
-        n_licenses=args.licenses,
-        seed=args.seed,
-        n_records=0,
-        target_groups=min(args.clusters, args.licenses),
-        aggregate_range=(300, 900),
-    )
-    generator = WorkloadGenerator(config)
-    pool = generator.generate_pool()
+    generator, pool = _wire_workload(args)
     stream = list(generator.issue_stream(pool, args.stream, skew=args.skew))
 
     tracer = None
@@ -691,21 +688,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             )
         monitor = Monitor(MonitorConfig(**config_kwargs), events=events)
 
-    kernel_kwargs = {"kernel": args.kernel}
-    if args.kernel_cap is not None:
-        kernel_kwargs["kernel_cap"] = args.kernel_cap
-
-    def run(shards: int, executor: str, *, observed: bool = False):
+    def run(shards: int, *, observed: bool = False):
         service = ValidationService(
             pool,
-            ServiceConfig(
-                shards=shards,
-                batch_size=args.batch,
-                queue_capacity=args.queue_capacity,
-                executor=executor,
-                workers=args.workers,
-                **kernel_kwargs,
-            ),
+            replace(_service_config(args), shards=shards),
             tracer=tracer if observed else None,
             events=events if observed else None,
             monitor=monitor if observed else None,
@@ -716,7 +702,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         service.close()
         return service, outcomes, elapsed
 
-    service, outcomes, elapsed = run(args.shards, args.executor, observed=True)
+    service, outcomes, elapsed = run(args.shards, observed=True)
     accepted = sum(outcome.accepted for outcome in outcomes)
     print(service.report())
     print()
@@ -769,9 +755,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                     "seed": args.seed,
                     "shards": args.shards,
                     "batch": args.batch,
-                    # The canonical backend ('process' -> 'resident'), so
-                    # report trajectories attribute rps movement to real
-                    # executor changes, not alias spelling.
                     "executor": service.executor_backend,
                     "workers": args.workers,
                     "kernel": args.kernel,
@@ -786,7 +769,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         rows = []
         reference = [outcome.accepted for outcome in outcomes]
         for shards in (1, 2, 4, 8):
-            swept_service, swept, swept_elapsed = run(shards, args.executor)
+            swept_service, swept, swept_elapsed = run(shards)
             assert [outcome.accepted for outcome in swept] == reference, (
                 "verdict stream changed with shard count"
             )
@@ -810,9 +793,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
 
 def _wire_workload(args: argparse.Namespace) -> "Tuple[WorkloadGenerator, LicensePool]":
-    """Regenerate the shared serve/loadgen workload deterministically.
+    """Regenerate the shared serve-bench/serve/loadgen workload
+    deterministically.
 
-    Both commands build the same :class:`WorkloadConfig` from the same
+    Every command builds the same :class:`WorkloadConfig` from the same
     knobs, so a ``loadgen`` run pointed at a ``serve`` run with matching
     ``-n``/``--seed``/``--clusters`` issues exactly the stream the
     server's pool was generated for.
@@ -833,7 +817,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from repro.net.server import AdmissionServer, WireServerConfig
-    from repro.service import ServiceConfig, ValidationService
+    from repro.service import ValidationService
 
     _generator, pool = _wire_workload(args)
     events = None
@@ -851,19 +835,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.obs.monitor import Monitor, MonitorConfig
 
         monitor = Monitor(MonitorConfig(), events=events)
-    kernel_kwargs = {"kernel": args.kernel}
-    if args.kernel_cap is not None:
-        kernel_kwargs["kernel_cap"] = args.kernel_cap
     service = ValidationService(
         pool,
-        ServiceConfig(
-            shards=args.shards,
-            batch_size=args.batch,
-            queue_capacity=args.queue_capacity,
-            executor=args.executor,
-            workers=args.workers,
-            **kernel_kwargs,
-        ),
+        _service_config(args),
         tracer=tracer,
         events=events,
         monitor=monitor,

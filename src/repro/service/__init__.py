@@ -12,12 +12,7 @@ pluggable event hooks.
 from repro.errors import ServiceError, ServiceOverloadedError
 from repro.service.cache import GroupTables, LRUCache, MatchCache, request_key
 from repro.service.config import ServiceConfig
-from repro.service.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.service.executor import SerialExecutor
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.service import ValidationService
 from repro.service.shard import GroupShard, ShardRequest, ShardResult, ShardStats
@@ -31,7 +26,6 @@ __all__ = [
     "LRUCache",
     "MatchCache",
     "MetricsRegistry",
-    "ProcessExecutor",
     "SerialExecutor",
     "ServiceConfig",
     "ServiceError",
@@ -39,8 +33,6 @@ __all__ = [
     "ShardRequest",
     "ShardResult",
     "ShardStats",
-    "ThreadExecutor",
     "ValidationService",
-    "make_executor",
     "request_key",
 ]

@@ -17,17 +17,7 @@ from repro.validation.limits import DEFAULT_KERNEL_CAP, DENSE_TABLE_MAX_N
 __all__ = ["ServiceConfig", "EXECUTOR_BACKENDS"]
 
 #: Recognized executor backends (see :mod:`repro.service.executor`).
-#: ``process`` is a deprecated alias for ``resident``;
-#: ``process-roundtrip`` is the pre-resident per-drain pickle backend,
-#: kept for one release so the parity suite can pin all four real
-#: backends byte-identical.
-EXECUTOR_BACKENDS = (
-    "serial",
-    "thread",
-    "process",
-    "process-roundtrip",
-    "resident",
-)
+EXECUTOR_BACKENDS = ("serial", "resident")
 
 
 @dataclass(frozen=True)
@@ -50,18 +40,13 @@ class ServiceConfig:
         raises :class:`repro.errors.ServiceOverloadedError` -- explicit
         backpressure instead of unbounded memory growth.
     executor:
-        ``"serial"`` (in-caller, zero overhead), ``"thread"`` (one pool
-        thread per shard; concurrency across groups, true parallelism on
-        free-threaded builds), ``"resident"`` (long-lived worker
-        processes that own their shards' state -- O(batch) IPC per
-        drain, shared-memory kernel planes for coordinator reads;
-        ``"process"`` is a deprecated alias), or ``"process-roundtrip"``
-        (the pre-resident backend: per-drain shard-state pickle
-        round-trips -- O(state) IPC; kept one release for parity
-        pinning).
+        ``"serial"`` (the default: drains run in the caller, zero
+        overhead) or ``"resident"`` (long-lived worker processes that
+        own their shards' state -- O(batch) IPC per drain,
+        shared-memory kernel planes for coordinator reads).
     workers:
         Worker-process count for the resident backend; ``0`` (default)
-        means one worker per shard.  Ignored by other backends.
+        means one worker per shard.  Ignored by the serial backend.
     match_cache_size:
         LRU entries for instance-match memoization; 0 disables caching.
     latency_window:

@@ -1,60 +1,33 @@
 """Executor backends: how shard drains are scheduled onto hardware.
 
-Every backend obeys the same contract: given the shards that currently
+Both backends obey the same contract: given the shards that currently
 have pending work, run each shard's :meth:`GroupShard.process_pending`
 exactly once, never running the same shard from two workers, and return
 ``{shard_id: (results, stats)}``.  Because one drain of one shard is a
 single task, per-shard serialization is structural -- no locks needed.
 
-* :class:`SerialExecutor` -- runs shards in-caller, ascending shard id.
-  The reference backend: zero overhead, fully deterministic scheduling.
-* :class:`ThreadExecutor` -- a ``ThreadPoolExecutor`` with one task per
-  shard.  Concurrency across groups; true parallelism arrives on
-  free-threaded CPython builds (under the GIL it still overlaps any
-  releases inside numpy-backed matching).
-* :class:`ProcessExecutor` (backend name ``process-roundtrip``) -- ships
-  each busy shard to a worker process and replaces the local shard
-  object with the mutated copy that comes back.  State round-trips by
-  pickle each drain -- O(state) IPC -- which is why it lost to serial
-  and is now superseded; it stays for one release so the parity suite
-  can pin all four backends byte-identical.
+* :class:`SerialExecutor` (backend name ``serial``) -- runs shards
+  in-caller, ascending shard id.  The reference backend: zero overhead,
+  fully deterministic scheduling.
 * :class:`~repro.service.resident.ResidentProcessExecutor` (backend
-  name ``resident``; ``process`` is an alias) -- long-lived workers own
-  their shards' state, only pending batches and verdicts cross the
-  pipe: O(batch) IPC per drain.  See :mod:`repro.service.resident`.
+  name ``resident``) -- long-lived workers own their shards' state, only
+  pending batches and verdicts cross the pipe: O(batch) IPC per drain.
+  See :mod:`repro.service.resident`.
 
-All backends produce identical verdict streams for identical inputs
+Both backends produce identical verdict streams for identical inputs
 (the determinism and parity tests pin this).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.errors import ServiceError
-from repro.service.shard import GroupShard, ShardResult, ShardSpec, ShardStats
+from repro.service.shard import GroupShard, ShardResult, ShardStats
 
-__all__ = [
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "make_executor",
-    "resolve_backend",
-]
+__all__ = ["SerialExecutor"]
 
 #: One shard's drain output.
 DrainOutput = Tuple[List[ShardResult], ShardStats]
-
-
-def _drain_shard(shard: GroupShard) -> DrainOutput:
-    return shard.process_pending()
-
-
-def _drain_shard_roundtrip(shard: GroupShard) -> Tuple[GroupShard, DrainOutput]:
-    # Round-trip backend: the worker mutates its pickled copy of the
-    # shard, so the mutated object must travel back to the coordinator.
-    return shard, shard.process_pending()
 
 
 class SerialExecutor:
@@ -64,130 +37,7 @@ class SerialExecutor:
 
     def drain(self, shards: List[GroupShard]) -> Dict[int, DrainOutput]:
         """Drain each shard; return ``{shard_id: (results, stats)}``."""
-        return {shard.shard_id: _drain_shard(shard) for shard in shards}
+        return {shard.shard_id: shard.process_pending() for shard in shards}
 
     def close(self) -> None:
         """No resources to release."""
-
-
-class ThreadExecutor:
-    """Drain shards concurrently on a thread pool (one task per shard)."""
-
-    name = "thread"
-
-    def __init__(self, max_workers: int):
-        if max_workers < 1:
-            raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-shard"
-        )
-
-    def drain(self, shards: List[GroupShard]) -> Dict[int, DrainOutput]:
-        """Drain each shard on the pool; block until all complete."""
-        futures = {
-            shard.shard_id: self._pool.submit(_drain_shard, shard)
-            for shard in shards
-        }
-        return {shard_id: future.result() for shard_id, future in futures.items()}
-
-    def close(self) -> None:
-        """Shut the pool down, waiting for in-flight drains."""
-        self._pool.shutdown(wait=True)
-
-
-class ProcessExecutor:
-    """Drain shards on worker processes, round-tripping shard state.
-
-    Stateless workers: each drain pickles the shard out, processes it in
-    the worker, and pickles the mutated shard back.  The coordinator then
-    adopts the returned object as the shard's new state, so successive
-    drains compose exactly as in the serial backend.
-
-    Adoption is **all-or-nothing**: every worker future is resolved
-    before any mutated shard replaces the caller's copy, so if any
-    shard's drain raises, the coordinator's shard table is left exactly
-    as it was before the drain -- no partially-adopted state (their
-    pending queues were consumed inside throwaway pickled copies, so
-    the originals still hold every request).
-    """
-
-    name = "process-roundtrip"
-
-    def __init__(self, max_workers: int):
-        if max_workers < 1:
-            raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
-        self._pool = ProcessPoolExecutor(max_workers=max_workers)
-
-    def drain(self, shards: List[GroupShard]) -> Dict[int, DrainOutput]:
-        """Drain each shard in a worker process; adopt returned state.
-
-        The mutated shards replace the caller's copies **in place in the
-        provided list**, so the service's shard table stays current --
-        but only after *every* future has resolved successfully (see the
-        class docstring for the all-or-nothing contract).
-        """
-        futures = {
-            position: self._pool.submit(_drain_shard_roundtrip, shard)
-            for position, shard in enumerate(shards)
-        }
-        resolved: List[Tuple[int, GroupShard, DrainOutput]] = []
-        error: Optional[BaseException] = None
-        for position, future in futures.items():
-            try:
-                mutated, output = future.result()
-            except BaseException as exc:  # collect, keep resolving the rest
-                if error is None:
-                    error = exc
-                continue
-            resolved.append((position, mutated, output))
-        if error is not None:
-            raise error
-        outputs: Dict[int, DrainOutput] = {}
-        for position, mutated, output in resolved:
-            shards[position] = mutated
-            outputs[mutated.shard_id] = output
-        return outputs
-
-    def close(self) -> None:
-        """Shut the worker pool down."""
-        self._pool.shutdown(wait=True)
-
-
-#: Deprecated aliases accepted by :func:`resolve_backend`.  ``process``
-#: now means the resident backend -- the round-trip implementation it
-#: used to name survives one release as ``process-roundtrip``.
-_BACKEND_ALIASES = {"process": "resident"}
-
-
-def resolve_backend(backend: str) -> str:
-    """Return the canonical backend name (resolving aliases)."""
-    return _BACKEND_ALIASES.get(backend, backend)
-
-
-def make_executor(
-    backend: str,
-    max_workers: int,
-    specs: Optional[Sequence[ShardSpec]] = None,
-):
-    """Build the executor for a backend name (see module docstring).
-
-    ``specs`` is required by (and only by) the resident backend, which
-    rebuilds its shards inside the workers at startup.
-    """
-    backend = resolve_backend(backend)
-    if backend == "serial":
-        return SerialExecutor()
-    if backend == "thread":
-        return ThreadExecutor(max_workers)
-    if backend == "process-roundtrip":
-        return ProcessExecutor(max_workers)
-    if backend == "resident":
-        if specs is None:
-            raise ServiceError(
-                "resident backend needs shard specs (workers rebuild "
-                "their shards from them at startup)"
-            )
-        from repro.service.resident import ResidentProcessExecutor
-
-        return ResidentProcessExecutor(specs, max_workers)
-    raise ServiceError(f"unknown executor backend {backend!r}")

@@ -1,11 +1,9 @@
 """Resident shard workers: zero-copy process parallelism for drains.
 
-The round-trip process backend (:class:`repro.service.executor
-.ProcessExecutor`) pickles every busy shard's *entire* state out and
-back on every drain -- including the dense kernel's ``C``/``H`` int64
-tables, up to ``2 x 8 MiB`` per group at ``kernel_cap=20`` -- so its
-per-drain cost is O(state), not O(batch).  This module replaces that
-with **resident workers**:
+The ``resident`` executor backend moves shard state into worker
+processes once, at startup, so that a drain costs O(batch) IPC, not
+O(state) -- the dense kernel's ``C``/``H`` int64 tables alone reach
+``2 x 8 MiB`` per group at ``kernel_cap=20``:
 
 * Each long-lived worker process permanently owns a fixed set of
   shards, rebuilt in-worker once at startup from a
@@ -25,7 +23,7 @@ with **resident workers**:
 Ownership and ordering contract (see DESIGN.md "Serving architecture"):
 
 * A shard is mutated by exactly one worker, always from its message
-  loop -- per-shard serialization is structural, as in every other
+  loop -- per-shard serialization is structural, as in the serial
   backend, so verdict streams are byte-identical to serial.
 * Drains are two-phase: the coordinator sends every involved worker its
   batch first, then collects every reply, so workers run concurrently.
@@ -35,9 +33,11 @@ Ownership and ordering contract (see DESIGN.md "Serving architecture"):
   raises :class:`~repro.errors.ServiceError` carrying the worker
   traceback.
 * Shutdown: workers close (never unlink) their attached planes and
-  exit on the ``close`` message; the coordinator joins them *before*
-  the service unlinks the shared segments, so no worker ever maps a
-  vanished name.
+  exit on the ``close`` message, or on end-of-file once the
+  coordinator's ends of their pipes are closed (each worker first
+  closes the copies of those ends it inherited); the coordinator joins
+  them *before* the service unlinks the shared segments, so no worker
+  ever maps a vanished name.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from multiprocessing.connection import Connection
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ServiceError
+from repro.service.executor import DrainOutput
 from repro.service.shard import (
     BatchTiming,
     GroupShard,
@@ -69,9 +70,6 @@ __all__ = [
     "encode_result",
     "encode_stats",
 ]
-
-#: One shard's drain output (mirrors ``executor.DrainOutput``).
-DrainOutput = Tuple[List[ShardResult], ShardStats]
 
 #: Wire rows are plain tuples; pickle protocol pinned for stable framing.
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -209,15 +207,25 @@ def decode_stats(row: Sequence[object]) -> ShardStats:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _worker_main(conn: Connection, specs: Sequence[ShardSpec]) -> None:
+def _worker_main(
+    conn: Connection,
+    specs: Sequence[ShardSpec],
+    coordinator_ends: Sequence[Connection],
+) -> None:
     """Message loop of one resident worker process.
 
-    Rebuilds its shards from the specs (attaching to shared kernel
-    planes where named), acknowledges readiness, then serves drains
-    until the ``close`` message or a dropped pipe.  Every reply is one
-    pickled tuple; errors travel back as ``("error", traceback)`` so
-    the coordinator can raise them as :class:`ServiceError`.
+    Closes the coordinator's pipe ends it inherited, rebuilds its shards
+    from the specs (attaching to shared kernel planes where named),
+    acknowledges readiness, then serves drains until the ``close``
+    message or a dropped pipe.  Every reply is one pickled tuple; errors
+    travel back as ``("error", traceback)`` so the coordinator can raise
+    them as :class:`ServiceError`.
     """
+    # A forked worker holds copies of the coordinator's end of its own
+    # pipe and of every earlier worker's; while any copy is open, that
+    # pipe never reaches end-of-file when the coordinator goes away.
+    for end in coordinator_ends:
+        end.close()
     shards: Dict[int, GroupShard] = {}
     try:
         try:
@@ -322,25 +330,31 @@ class ResidentProcessExecutor:
         self._drains = 0
         self._bytes_shipped_total = 0
         self._last_drain_bytes = 0
-        for worker_specs in assignments:
-            parent_conn, child_conn = Pipe()
-            proc = Process(
-                target=_worker_main,
-                args=(child_conn, tuple(worker_specs)),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-        for conn in self._conns:
-            ack = self._recv(conn)
-            if ack[0] != "ready":
-                with self._lock:
-                    self._failed = True
-                raise ServiceError(
-                    f"resident worker failed to start: {ack[1]}"
+        try:
+            for worker_specs in assignments:
+                parent_conn, child_conn = Pipe()
+                proc = Process(
+                    target=_worker_main,
+                    args=(
+                        child_conn,
+                        tuple(worker_specs),
+                        (*self._conns, parent_conn),
+                    ),
+                    daemon=True,
                 )
+                proc.start()
+                child_conn.close()
+                self._conns.append(parent_conn)
+                self._procs.append(proc)
+            for conn in self._conns:
+                ack = self._recv(conn)
+                if ack[0] != "ready":
+                    raise ServiceError(
+                        f"resident worker failed to start: {ack[1]}"
+                    )
+        except BaseException:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # Accessors

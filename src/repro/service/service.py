@@ -61,8 +61,9 @@ from repro.obs.trace import NULL_SPAN, Tracer
 from repro.online.session import IssuanceOutcome
 from repro.service.cache import GroupTables, MatchCache
 from repro.service.config import ServiceConfig
-from repro.service.executor import make_executor, resolve_backend
+from repro.service.executor import SerialExecutor
 from repro.service.metrics import MetricsRegistry
+from repro.service.resident import ResidentProcessExecutor
 from repro.service.shard import (
     GroupShard,
     ShardRequest,
@@ -142,16 +143,37 @@ class ValidationService:
             on_evict=self._on_cache_evict if events is not None else None,
         )
         self._shard_count = min(self.config.shards, self._tables.group_count)
-        #: Canonical executor backend (``process`` resolves to
-        #: ``resident``); drives plane allocation and spec shipping.
-        self._backend = resolve_backend(self.config.executor)
+        self._timings_enabled = False
+        self._request_timings: Dict[int, ServerTiming] = {}
+        self._match_us: Dict[int, int] = {}
+        self._latency = self.metrics.histogram(
+            "latency_seconds", self.config.latency_window
+        )
+        self._seq = 0
+        self._request_spans: Dict[int, object] = {}
+        self._pending_outcomes: Dict[int, IssuanceOutcome] = {}
+        self._log = ValidationLog()
+        self._closed = False
+        self._executor: SerialExecutor | ResidentProcessExecutor = SerialExecutor()
+        self.monitor = monitor
         # Resident backend + dense kernel: back each eligible group's
         # C/H tables with coordinator-owned shared-memory planes.  The
         # coordinator's own slices get the *create*-mode views (its
         # reads are zero-copy); workers attach by name via ShardSpec.
         self._plane_allocator: Optional[KernelPlaneAllocator] = None
-        if self._backend == "resident" and self.config.kernel == KERNEL_DENSE:
+        if self.config.executor == "resident" and self.config.kernel == KERNEL_DENSE:
             self._plane_allocator = KernelPlaneAllocator(shared=True)
+        try:
+            self._build_shards(initial_log)
+            if monitor is not None:
+                monitor.attach(self)
+        except BaseException:
+            # Nothing else owns the workers or the shared segments yet.
+            self.close()
+            raise
+
+    def _build_shards(self, initial_log: Optional[ValidationLog]) -> None:
+        """Build the shard table, replay ``initial_log``, start the executor."""
         slices_by_shard: Dict[int, Dict[int, GroupSlice]] = {
             shard_id: {} for shard_id in range(self._shard_count)
         }
@@ -180,7 +202,7 @@ class ValidationService:
             )
             for shard_id in range(self._shard_count)
         ]
-        if tracer is not None:
+        if self.tracer is not None:
             for shard in self._shards:
                 shard.collect_timings = True
         self._kernel_by_group: Dict[int, str] = {
@@ -188,33 +210,15 @@ class ValidationService:
             for shard_slices in slices_by_shard.values()
             for group_id, gslice in shard_slices.items()
         }
-        self._timings_enabled = False
-        self._request_timings: Dict[int, ServerTiming] = {}
-        self._match_us: Dict[int, int] = {}
-        self._latency = self.metrics.histogram(
-            "latency_seconds", self.config.latency_window
-        )
-        self._seq = 0
-        self._request_spans: Dict[int, object] = {}
-        self._pending_outcomes: Dict[int, IssuanceOutcome] = {}
-        self._log = ValidationLog()
-        self._closed = False
         # Replay BEFORE spawning any executor workers: resident workers
         # rebuild shard state from the specs, which must carry the full
         # preload log (and the shared planes must already hold it).
         if initial_log is not None:
             self._replay(initial_log)
-        if self._backend == "resident":
-            self._executor = make_executor(
-                self._backend,
-                self.config.workers or self._shard_count,
-                specs=self._build_specs(),
+        if self.config.executor == "resident":
+            self._executor = ResidentProcessExecutor(
+                self._build_specs(), self.config.workers or self._shard_count
             )
-        else:
-            self._executor = make_executor(self._backend, self._shard_count)
-        self.monitor = monitor
-        if monitor is not None:
-            monitor.attach(self)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -261,9 +265,8 @@ class ValidationService:
 
     @property
     def executor_backend(self) -> str:
-        """Return the canonical executor backend actually running
-        (``process`` resolves to ``resident``)."""
-        return self._backend
+        """Return the executor backend running the drains."""
+        return self._executor.name
 
     def kernel_occupancy(self) -> Dict[int, Dict[str, int]]:
         """Return ``{group_id: occupancy}`` for every dense-kernel group.
@@ -551,11 +554,7 @@ class ValidationService:
                 self.metrics.counter("ipc_bytes_shipped_total").inc(
                     amount=shipped
                 )
-            # The round-trip backend hands back mutated shard copies via
-            # the `busy` list; re-adopt so the next drain sees current
-            # state (a no-op for the in-process and resident backends).
             for shard in busy:
-                self._shards[shard.shard_id] = shard
                 self.metrics.gauge("queue_depth").set(
                     shard.depth, (f"shard{shard.shard_id}",)
                 )

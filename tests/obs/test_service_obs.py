@@ -136,11 +136,11 @@ class TestSpanTree:
                 assert attrs["outcome"] == "rejected"
                 assert attrs["reason"] == outcome.rejection_reason
 
-    def test_thread_executor_produces_same_tree_shape(self, workload):
+    def test_resident_executor_produces_same_tree_shape(self, workload):
         pool, stream = workload
-        serial_tracer, thread_tracer = Tracer(), Tracer()
+        serial_tracer, resident_tracer = Tracer(), Tracer()
         _run(pool, stream, tracer=serial_tracer)
-        _run(pool, stream, tracer=thread_tracer, executor="thread")
+        _run(pool, stream, tracer=resident_tracer, executor="resident")
 
         def shape(tracer):
             names = {}
@@ -148,7 +148,7 @@ class TestSpanTree:
                 names[record.name] = names.get(record.name, 0) + 1
             return names
 
-        assert shape(serial_tracer) == shape(thread_tracer)
+        assert shape(serial_tracer) == shape(resident_tracer)
 
     def test_sampling_halves_request_traces(self, workload):
         pool, stream = workload

@@ -76,10 +76,7 @@ def test_backpressure_does_not_change_verdicts(
     )
 
 
-@pytest.mark.parametrize(
-    "executor",
-    ["serial", "thread", "process", "process-roundtrip", "resident"],
-)
+@pytest.mark.parametrize("executor", ["serial", "resident"])
 def test_executor_backend_does_not_change_verdicts(
     workload, reference, executor
 ):

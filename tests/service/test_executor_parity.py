@@ -1,17 +1,16 @@
-"""Executor-parity property suite: four backends, one verdict stream.
+"""Executor-parity property suite: two backends, one verdict stream.
 
 Hypothesis drives randomized shard counts, batch sizes, queue
-capacities, and kernel configurations through every executor backend --
-serial, thread, process-roundtrip, and resident -- asserting that the
-verdict stream is **byte-identical** and that ``equations_checked`` is
-equal across backends (the audit does the same incremental work no
-matter where the shards run).  A dedicated case drives a mid-stream
+capacities, and kernel configurations through both executor backends
+-- serial and resident -- asserting that the verdict stream is
+**byte-identical** and that ``equations_checked`` is equal across
+backends (the audit does the same incremental work no matter where the
+shards run).  A dedicated case drives a mid-stream
 ``ServiceOverloadedError`` burst (tiny queues + forced drains) through
-all four.
+both.
 
-Process-backed examples are expensive (worker spawn per service), so
-the randomized sweeps keep example counts small and workloads compact;
-the exhaustive cheap backends (serial/thread) run more examples.
+Resident examples are expensive (worker spawn per service), so the
+randomized sweeps keep example counts small and workloads compact.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,10 +18,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.service import ServiceConfig, ValidationService
 from repro.workloads.config import WorkloadConfig
 from repro.workloads.generator import WorkloadGenerator
-
-#: Every real backend (the deprecated ``process`` alias resolves to
-#: ``resident`` and is covered by tests/service/test_resident.py).
-ALL_BACKENDS = ("serial", "thread", "process-roundtrip", "resident")
 
 #: Workload cache: Hypothesis re-runs examples, pools are deterministic
 #: in their config, and generation dominates example cost.
@@ -80,43 +75,23 @@ workload_params = st.fixed_dictionaries(
 )
 
 
-class TestCheapBackendSweep:
-    """serial vs thread: wide randomized sweep (no process spawn cost)."""
-
-    @settings(
-        max_examples=40,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(config=service_configs, params=workload_params)
-    def test_thread_matches_serial(self, config, params):
-        pool, stream = workload_for(**params)
-        reference = serve(pool, stream, executor="serial", **config)
-        assert serve(pool, stream, executor="thread", **config) == reference
-
-
 class TestAllBackendParity:
-    """All four backends: verdicts byte-identical, equations equal."""
+    """Both backends: verdicts byte-identical, equations equal."""
 
     @settings(
-        max_examples=6,
+        max_examples=12,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(config=service_configs, params=workload_params)
     def test_verdicts_and_equations_identical(self, config, params):
         pool, stream = workload_for(**params)
-        results = {
-            backend: serve(pool, stream, executor=backend, **config)
-            for backend in ALL_BACKENDS
-        }
-        reference_verdicts, reference_equations = results["serial"]
-        for backend, (verdicts, equations) in results.items():
-            assert verdicts == reference_verdicts, backend
-            assert equations == reference_equations, backend
+        assert serve(pool, stream, executor="resident", **config) == serve(
+            pool, stream, executor="serial", **config
+        )
 
     @settings(
-        max_examples=4,
+        max_examples=8,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
@@ -133,8 +108,6 @@ class TestAllBackendParity:
         config = dict(
             shards=2, batch_size=4, queue_capacity=2, kernel=kernel
         )
-        reference = serve(pool, stream, executor="serial", **config)
-        for backend in ALL_BACKENDS[1:]:
-            assert serve(pool, stream, executor=backend, **config) == (
-                reference
-            ), backend
+        assert serve(pool, stream, executor="resident", **config) == serve(
+            pool, stream, executor="serial", **config
+        )

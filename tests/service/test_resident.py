@@ -7,17 +7,18 @@ zero-copy through shared-memory planes, and shutdown joins workers
 before the coordinator unlinks the segments.
 """
 
+import multiprocessing
 import os
 import pickle
+import time
 
 import pytest
 from multiprocessing import shared_memory
 
-from repro.errors import ServiceError
+from repro.errors import GroupingError, ServiceError
 from repro.core.kernel import KernelPlane
 from repro.logstore.log import ValidationLog
 from repro.service import ServiceConfig, ValidationService
-from repro.service.executor import ProcessExecutor, make_executor, resolve_backend
 from repro.service.resident import (
     ResidentProcessExecutor,
     decode_request,
@@ -36,6 +37,7 @@ from repro.service.shard import (
 )
 from repro.workloads.config import WorkloadConfig
 from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.scenarios import example1
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,33 @@ def signatures(outcomes):
         (o.usage_id, o.accepted, o.rejection_reason, o.license_set)
         for o in outcomes
     ]
+
+
+def poison_planes(spec):
+    """Return ``spec`` with every C-plane name pointing at no segment,
+    so the worker's attach fails at startup."""
+    return type(spec)(
+        shard_id=spec.shard_id,
+        group_ids=spec.group_ids,
+        batch_size=spec.batch_size,
+        queue_capacity=spec.queue_capacity,
+        kernel=spec.kernel,
+        kernel_cap=spec.kernel_cap,
+        structure=spec.structure,
+        aggregates=spec.aggregates,
+        preloads=spec.preloads,
+        plane_names={
+            group_id: (f"repro-missing-{os.getpid()}-c", names[1])
+            for group_id, names in spec.plane_names.items()
+        },
+        collect_timings=spec.collect_timings,
+    )
+
+
+def own_segments():
+    """Shared-memory names this process created and has not unlinked."""
+    prefix = f"repro-{os.getpid()}-"
+    return {name for name in os.listdir("/dev/shm") if name.startswith(prefix)}
 
 
 class TestWireFormat:
@@ -151,20 +180,6 @@ class TestResidentService:
         ) as resident:
             actual = signatures(resident.process(stream))
         assert actual == expected
-
-    def test_process_alias_resolves_to_resident(self, workload):
-        pool, _stream = workload
-        assert resolve_backend("process") == "resident"
-        with ValidationService(
-            pool, ServiceConfig(executor="process")
-        ) as service:
-            assert service.executor_backend == "resident"
-            assert isinstance(service._executor, ResidentProcessExecutor)
-        with ValidationService(
-            pool, ServiceConfig(executor="process-roundtrip")
-        ) as service:
-            assert service.executor_backend == "process-roundtrip"
-            assert isinstance(service._executor, ProcessExecutor)
 
     def test_worker_count_clamped_and_configurable(self, workload):
         pool, _stream = workload
@@ -315,9 +330,25 @@ class TestResidentService:
             ]
             assert all(timing is not None for timing in timings)
 
+    def test_workers_exit_when_coordinator_ends_close(self, workload):
+        """A worker must see end-of-file once the coordinator's ends of
+        the pipes are gone: no forked worker may keep its own pipe, or an
+        earlier worker's, open through an inherited descriptor."""
+        pool, _stream = workload
+        config = ServiceConfig(shards=3, executor="resident")
+        with ValidationService(pool, config) as service:
+            procs = list(service._executor._procs)
+            assert len(procs) == 3
+            for conn in service._executor._conns:
+                conn.close()
+            deadline = time.monotonic() + 2.0
+            for proc in procs:
+                proc.join(max(0.0, deadline - time.monotonic()))
+            assert [proc.exitcode for proc in procs] == [0, 0, 0]
+
     def test_executor_requires_specs(self):
         with pytest.raises(ServiceError):
-            make_executor("resident", 2)
+            ResidentProcessExecutor((), 2)
 
     def test_startup_failure_surfaces_worker_error(self, workload):
         pool, _stream = workload
@@ -325,30 +356,52 @@ class TestResidentService:
         service = ValidationService(pool, config)
         try:
             specs = service._build_specs()
-            # Corrupt a plane name: the worker's attach must fail and the
-            # constructor must surface the worker traceback, not hang.
-            bad = specs[0]
-            poisoned = type(bad)(
-                shard_id=bad.shard_id,
-                group_ids=bad.group_ids,
-                batch_size=bad.batch_size,
-                queue_capacity=bad.queue_capacity,
-                kernel=bad.kernel,
-                kernel_cap=bad.kernel_cap,
-                structure=bad.structure,
-                aggregates=bad.aggregates,
-                preloads=bad.preloads,
-                plane_names={
-                    group_id: (f"repro-missing-{os.getpid()}-c", names[1])
-                    for group_id, names in bad.plane_names.items()
-                },
-                collect_timings=bad.collect_timings,
-            )
+            poisoned = poison_planes(specs[0])
+            # The worker's attach must fail and the constructor must
+            # surface the worker traceback, not hang.
             if poisoned.plane_names:
+                children = set(multiprocessing.active_children())
                 with pytest.raises(ServiceError):
-                    ResidentProcessExecutor([poisoned], 1)
+                    ResidentProcessExecutor([poisoned, specs[1]], 2)
+                # The healthy worker was stopped, not left serving.
+                assert set(multiprocessing.active_children()) == children
         finally:
             service.close()
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
+)
+class TestFailedConstruction:
+    """A constructor that raises after allocating shared planes must
+    release them, and stop any worker it started, before re-raising."""
+
+    def test_failed_replay_leaves_no_segments(self):
+        log = ValidationLog()
+        log.record({1, 2, 3, 4, 5}, 1, "spans-two-groups")
+        config = ServiceConfig(shards=2, executor="resident", kernel="dense")
+        before = own_segments()
+        with pytest.raises(GroupingError):
+            ValidationService(example1().pool, config, initial_log=log)
+        assert own_segments() == before
+
+    def test_failed_worker_startup_leaves_no_segments(
+        self, workload, monkeypatch
+    ):
+        pool, _stream = workload
+        build_specs = ValidationService._build_specs
+        monkeypatch.setattr(
+            ValidationService,
+            "_build_specs",
+            lambda service: [poison_planes(s) for s in build_specs(service)],
+        )
+        config = ServiceConfig(shards=2, executor="resident", kernel="dense")
+        before = own_segments()
+        children = set(multiprocessing.active_children())
+        with pytest.raises(ServiceError):
+            ValidationService(pool, config)
+        assert own_segments() == before
+        assert set(multiprocessing.active_children()) == children
 
 
 class TestHeapPlaneFallback:

@@ -42,27 +42,6 @@ def outcome_signature(outcome):
     )
 
 
-class _PoisonedShard:
-    """A shard whose drain always raises (must be picklable, hence
-    module level).  Wraps a real GroupShard so queueing still works."""
-
-    def __init__(self, shard_id, slices, batch_size, queue_capacity):
-        from repro.service.shard import GroupShard
-
-        self._inner = GroupShard(shard_id, slices, batch_size, queue_capacity)
-        self.shard_id = shard_id
-
-    def enqueue(self, request):
-        self._inner.enqueue(request)
-
-    @property
-    def depth(self):
-        return self._inner.depth
-
-    def process_pending(self):
-        raise ServiceError("poisoned shard: simulated worker failure")
-
-
 class TestEquivalenceWithEquationSession:
     def test_process_matches_session_verdicts(self, workload):
         pool, stream = workload
@@ -105,10 +84,7 @@ class TestEquivalenceWithEquationSession:
 
 
 class TestExecutors:
-    @pytest.mark.parametrize(
-        "backend",
-        ["serial", "thread", "process", "process-roundtrip", "resident"],
-    )
+    @pytest.mark.parametrize("backend", ["serial", "resident"])
     def test_backends_agree(self, workload, backend):
         pool, stream = workload
         reference_config = ServiceConfig(shards=4, batch_size=16)
@@ -122,57 +98,9 @@ class TestExecutors:
         assert actual == expected
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ServiceError):
-            ServiceConfig(executor="quantum")
-
-    def test_roundtrip_adoption_is_all_or_nothing(self):
-        """Regression: a raising shard drain must leave the coordinator's
-        whole shard table untouched -- earlier-resolved shards used to be
-        adopted before a later future raised, silently mixing pre- and
-        post-drain state."""
-        from repro.core.grouping import GroupStructure
-        from repro.core.incremental import GroupSlice
-        from repro.service.executor import ProcessExecutor
-        from repro.service.shard import GroupShard, ShardRequest
-
-        structure = GroupStructure(
-            (frozenset({1, 2, 4}), frozenset({3, 5})), 5
-        )
-        aggregates = [100, 50, 60, 50, 25]
-
-        def make_shard(shard_id, group_id):
-            slices = {
-                group_id: GroupSlice(structure, aggregates, group_id)
-            }
-            return GroupShard(shard_id, slices, 4, 8)
-
-        good = make_shard(0, 0)
-        poisoned = _PoisonedShard(1, {1: GroupSlice(structure, aggregates, 1)}, 4, 8)
-        for seq, (shard, members, group_id) in enumerate(
-            [(good, (1, 2), 0), (poisoned, (3, 5), 1)]
-        ):
-            shard.enqueue(
-                ShardRequest(
-                    seq=seq,
-                    usage_id=f"u{seq}",
-                    group_id=group_id,
-                    members=members,
-                    count=5,
-                    submitted_at=0.0,
-                )
-            )
-        shards = [good, poisoned]
-        executor = ProcessExecutor(max_workers=2)
-        try:
-            with pytest.raises(ServiceError):
-                executor.drain(shards)
-        finally:
-            executor.close()
-        # All-or-nothing: the originals are still in place (no mutated
-        # copy adopted) and still hold every pending request.
-        assert shards[0] is good and shards[1] is poisoned
-        assert good.depth == 1 and poisoned.depth == 1
-        assert good.slices()[0].records_inserted == 0
+        for backend in ("quantum", "thread", "process", "process-roundtrip"):
+            with pytest.raises(ServiceError, match="serial, resident"):
+                ServiceConfig(executor=backend)
 
 
 class TestBackpressure:
