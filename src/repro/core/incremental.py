@@ -50,6 +50,11 @@ if TYPE_CHECKING:  # pragma: no cover - import for annotations only
 
 __all__ = ["GroupSlice", "IncrementalValidator"]
 
+#: Most headroom answers one tree-path slice memoizes between inserts.
+#: Without a bound, varied rejected traffic on a large group would add
+#: one entry per distinct set, up to ``2^{N_k} - 1``.
+HEADROOM_MEMO_LIMIT = 4096
+
 
 class GroupSlice:
     """One group's equation state: remapped tree + validator + dirty flag.
@@ -73,6 +78,13 @@ class GroupSlice:
 
     Verdicts, headroom values, and violation masks are identical for
     both engines (property-tested); only the cost model differs.
+
+    The tree path memoizes headroom per local mask: between two inserts
+    a repeated match set costs one dict lookup instead of
+    ``2^{N_k - |S|}`` tree walks.  Every :meth:`insert` (and so every
+    journal preload) clears the memo, and it holds at most
+    :data:`HEADROOM_MEMO_LIMIT` entries, dropping the oldest when full.
+    The dense path never uses it.
 
     Examples
     --------
@@ -115,6 +127,7 @@ class GroupSlice:
         self._kernel: Optional[DenseHeadroomKernel] = None
         self._validator: Optional[TreeValidator] = None
         self._tree: Optional[ValidationTree] = None
+        self._memo: Dict[int, int] = {}
         if kernel == KERNEL_DENSE and len(self._local_aggregates) <= kernel_cap:
             self._kernel = DenseHeadroomKernel(
                 self._local_aggregates,
@@ -232,6 +245,7 @@ class GroupSlice:
         else:
             assert self._tree is not None
             self._tree.insert_set(local, count)
+            self._memo.clear()
         self._dirty = True
         self._cached = None
         self._records += 1
@@ -243,15 +257,24 @@ class GroupSlice:
         On the dense kernel this is a single ``H``-table lookup (O(1));
         on the tree path the superset enumeration runs over this group's
         local universe -- ``O(2^(N_k - |S|))`` equations, the
-        group-restricted query of Theorem 2.  Both return the same
-        value.
+        group-restricted query of Theorem 2 -- once per set between
+        inserts: the answer is memoized per local mask until the next
+        :meth:`insert`, keeping at most :data:`HEADROOM_MEMO_LIMIT`
+        entries (oldest dropped first).  Both return the same value.
         """
         local = self.localize(members)
         mask = self._local_mask(local)
         if self._kernel is not None:
             return self._kernel.headroom(mask)
-        assert self._tree is not None
-        return _headroom(self._tree, self._local_aggregates, mask)
+        memo = self._memo
+        slack = memo.get(mask)
+        if slack is None:
+            assert self._tree is not None
+            slack = _headroom(self._tree, self._local_aggregates, mask)
+            if len(memo) >= HEADROOM_MEMO_LIMIT:
+                del memo[next(iter(memo))]
+            memo[mask] = slack
+        return slack
 
     def headroom_batch(
         self, members_batch: Sequence[Iterable[int]]
@@ -261,8 +284,9 @@ class GroupSlice:
 
         On the dense kernel the whole batch is answered by one
         vectorized ``H`` gather; the tree path degrades to a per-set
-        loop.  Callers interleaving inserts must invalidate against
-        :attr:`version` to preserve sequential semantics.
+        loop through the headroom memo.  Callers interleaving inserts
+        must invalidate against :attr:`version` to preserve sequential
+        semantics.
         """
         if self._kernel is not None:
             masks = [

@@ -29,30 +29,28 @@ plane (``C > A`` positions), byte-identical to the tree sweep.
 
 Incremental updates stay cheap because counts only ever grow, so slack
 only ever shrinks.  When a record with local mask ``T`` and ``count``
-lands:
+lands, both tables change by one formula each:
 
-1. ``C[S] += count`` for every ``S ⊇ T`` -- a vectorized add over the
+1. ``C[S] += count`` for every ``S ⊇ T`` -- an add over the
    ``2^{N_k - |T|}`` masks of ``T``'s superset cone.
-2. ``H[S] -= count`` for every ``S ⊇ T``: each such ``S`` has its whole
-   superset cone inside ``T``'s, so *every* equation under its min
-   tightened by exactly ``count`` -- the min drops by ``count``, no
-   transform rebuild needed.
-3. For masks outside the cone the exact fixup is
-   ``H[m] = min(H[m], H[m | T])`` (their cone splits into an unchanged
-   part, already folded into the old ``H[m]``, and the part inside
-   ``T``'s cone, whose min is the freshly updated ``H[m | T]``).  One
-   in-place minimum sweep per bit of ``T`` realizes it: sweeping bits
-   ``b ∈ T`` in any order folds ``min_{U ⊆ T∖m} H[m | U]`` into
-   ``H[m]``, and the intermediate ``U ⊂ T∖m`` terms are dominated by
-   the ``U = ∅`` term, leaving exactly ``min(H[m], H[m | T])``.
+2. ``H[m] = min(H[m], H[m | T] - count)`` for every mask ``m``, with the
+   right-hand ``H`` read before the update.  ``m``'s cone splits into
+   the part outside ``T``'s cone, whose equations did not change and
+   are already folded into the old ``H[m]``, and the part inside it,
+   ``m | T``'s cone, where every equation tightened by exactly
+   ``count``.  Inside the cone ``m | T = m``, so the formula reduces to
+   ``H[m] -= count``.
 
-Steps 1-2 touch only the restricted cone (``O(2^{N_k - |T|})`` masks,
-plus ``O(N_k · 2^{N_k - |T|})`` to materialize its index vector on a
-cache miss); step 3 is ``|T|`` vectorized half-table minimums
-(``O(|T| · 2^{N_k - 1})`` word ops at memory-bandwidth speed).  The
-tree walk this replaces pays a pointer-chasing tree traversal *per
-superset equation*, so the kernel wins by orders of magnitude on
-paper-scale groups -- see ``benchmarks/bench_kernel.py``.
+Both run on strided views of the table reshaped to ``(2,) * N_k``: axis
+``N_k - 1 - b`` holds bit ``b``, so keeping only the 1-half of every
+axis of a bit of ``T`` selects the cone without an index vector, and
+broadcasting that cone back over the whole table realizes ``m | T``.
+Step 1 touches ``O(2^{N_k - |T|})`` masks; step 2 is one vectorized
+minimum over the ``2^{N_k}`` masks (word ops at memory-bandwidth speed)
+that allocates only a transient copy of the cone.  The tree walk this
+replaces pays a pointer-chasing tree traversal *per superset equation*,
+so the kernel wins by orders of magnitude on paper-scale groups -- see
+``benchmarks/bench_kernel.py``.
 
 Memory is the limit: three resident int64 tables (``C``, ``H``, and the
 static RHS ``A``) cost ``3 * 8 * 2^{N_k}`` bytes, so construction
@@ -98,11 +96,6 @@ KERNEL_TREE = "tree"
 KERNEL_DENSE = "dense"
 #: Recognized ``kernel=`` strategy names, in preference order.
 KERNEL_NAMES = (KERNEL_TREE, KERNEL_DENSE)
-
-#: Bound on the cone-index cache (one int64 vector of ``2^{N - |T|}``
-#: entries per distinct inserted mask; admission traffic repeats masks
-#: heavily, so a small cache removes the index-materialization cost).
-_CONE_CACHE_LIMIT = 64
 
 _I64 = np.int64
 
@@ -361,7 +354,6 @@ class DenseHeadroomKernel:
         self._records = 0
         self._masks_touched_total = 0
         self._last_update_touched = 0
-        self._cone_cache: Dict[int, NDArray[np.int64]] = {}
 
     # ------------------------------------------------------------------
     # Accessors
@@ -427,33 +419,25 @@ class DenseHeadroomKernel:
         """Fold one record (local ``mask``, ``count``) into the tables.
 
         Returns the number of cone masks touched (``2^{N_k - |T|}``),
-        which observability layers attribute to the update span.  Only
-        the superset cone of ``mask`` is rewritten in the ``C``/``H``
-        planes (plus the per-bit minimum broadcast that re-establishes
-        the superset-min invariant outside the cone -- see the module
-        docstring for the exactness argument).
+        which observability layers attribute to the update span.  ``C``
+        grows over the superset cone of ``mask``; ``H`` takes
+        ``min(H[m], H[m | mask] - count)`` at every mask, which is
+        ``H[m] - count`` inside the cone (see the module docstring for
+        the exactness argument).
         """
         self._check_mask(mask)
         if count < 0:
             raise ValidationError(f"count must be non-negative, got {count}")
-        cone = self._cone(mask)
-        self._counts[cone] += count
-        # Every equation under H[S ⊇ mask]'s min tightened by exactly
-        # `count`, so the cone's minima drop by `count` -- no rebuild.
-        self._head[cone] -= count
-        # Exact fixup for masks outside the cone:
-        #   H[m] = min(H[m], H[m | mask])
-        # realized as one in-place half-table minimum per bit of `mask`.
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            bit = low.bit_length() - 1
-            shaped = self._head.reshape(
-                1 << (self._n - bit - 1), 2, 1 << bit
-            )
-            np.minimum(shaped[:, 0, :], shaped[:, 1, :], out=shaped[:, 0, :])
-        touched = int(cone.size)
+        n = self._n
+        lattice = (2,) * n
+        cone = tuple(
+            slice(1, 2) if mask >> (n - 1 - axis) & 1 else slice(None)
+            for axis in range(n)
+        )
+        self._counts.reshape(lattice)[cone] += count
+        head = self._head.reshape(lattice)
+        np.minimum(head, head[cone] - count, out=head)
+        touched = 1 << (n - mask.bit_count())
         self._records += 1
         self._masks_touched_total += touched
         self._last_update_touched = touched
@@ -533,31 +517,6 @@ class DenseHeadroomKernel:
             raise ValidationError(
                 f"mask {mask:#b} out of range for N={self._n}"
             )
-
-    def _cone(self, mask: int) -> NDArray[np.int64]:
-        """Return the index vector of ``mask``'s superset cone.
-
-        Entry ``f`` of the vector is ``mask`` with the ``f``-th free-bit
-        pattern distributed over the universe bits outside ``mask``, so
-        the vector enumerates exactly ``{S : S ⊇ mask}`` in an order
-        where compact index ``f`` preserves the superset lattice of the
-        free bits.  Cached per mask (bounded): admission streams repeat
-        matched sets heavily.
-        """
-        cached = self._cone_cache.get(mask)
-        if cached is not None:
-            return cached
-        free_positions = [
-            j for j in range(self._n) if not mask & (1 << j)
-        ]
-        compact = np.arange(1 << len(free_positions), dtype=_I64)
-        spread = np.full(compact.shape, mask, dtype=_I64)
-        for offset, position in enumerate(free_positions):
-            spread |= ((compact >> offset) & 1) << position
-        if len(self._cone_cache) >= _CONE_CACHE_LIMIT:
-            self._cone_cache.pop(next(iter(self._cone_cache)))
-        self._cone_cache[mask] = spread
-        return spread
 
     def _superset_min_inplace(self, table: NDArray[np.int64]) -> None:
         """Fold ``table`` into its superset-minimum transform:

@@ -81,10 +81,12 @@ def iter_supersets(mask: int, universe: int) -> Iterator[int]:
     """Yield every superset of ``mask`` contained in ``universe``.
 
     Used by headroom queries: issuing more counts against set ``S`` only
-    tightens equations for supersets of ``S``.
+    tightens equations for supersets of ``S``.  The free bits
+    ``universe & ~mask`` are added as a binary counter, so the yielded
+    masks ascend (headroom derives each RHS from the previous one).
 
-    >>> sorted(iter_supersets(0b001, 0b011))
-    [1, 3]
+    >>> list(iter_supersets(0b001, 0b111))
+    [1, 3, 5, 7]
     """
     free = universe & ~mask
     sub = 0

@@ -13,6 +13,13 @@ restricted to supersets inside ``S``'s own group (cross-group supersets are
 redundant by Theorem 2), which :class:`repro.core.validator.GroupedValidator`
 exploits; here the restriction is an optional ``universe_mask``.
 
+A query costs ``2^(|universe| - |S|)`` equations and nothing per mask
+outside them: each enumerated ``T`` pays one tree-walk subset sum for its
+LHS ``C⟨T⟩`` and O(1) for its RHS ``A⟨T⟩``, which a low-bit recurrence
+over the free bits carries from the previous ``T``.  No ``2^N`` table of
+``A`` is built, so a group-restricted query over a large pool is as cheap
+as the same query over the group alone.
+
 On a *feasible* log the result agrees with the max-flow answer
 (:meth:`repro.validation.flow.FlowFeasibilityOracle.remaining_capacity`);
 both are property-tested against each other.  On an already-infeasible log
@@ -25,10 +32,10 @@ feasible logs, where the distinction vanishes.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.errors import ValidationError
-from repro.validation.bitset import aggregate_sums, iter_supersets, popcount
+from repro.validation.bitset import indexes_of, iter_supersets, popcount
 from repro.validation.tree import ValidationTree
 
 __all__ = ["headroom"]
@@ -60,6 +67,10 @@ def headroom(
     int
         ``min_{S ⊆ T ⊆ universe} (A[T] - C⟨T⟩)``, floored at 0 (a log that
         is already over capacity yields no headroom).
+
+    The cost is ``2^(|universe| - |S|)`` subset sums on the tree plus
+    O(1) per enumerated ``T`` for ``A[T]``: the RHS is never tabulated
+    over the whole array, so only the enumerated supersets are paid for.
     """
     n = len(aggregates)
     full = (1 << n) - 1
@@ -72,10 +83,23 @@ def headroom(
         raise ValidationError(
             f"target mask {target_mask:#b} not inside universe {universe:#b}"
         )
-    rhs = aggregate_sums(aggregates)
+    # iter_supersets visits T = target | F for the submasks F of the free
+    # bits in increasing order, so consecutive F differ by setting their
+    # lowest bit f and clearing every free bit below f:
+    #   A[T_next] = A[T] + step[f],  step[f] = A[f] - A[free bits below f].
+    rhs = sum(aggregates[index - 1] for index in indexes_of(target_mask))
+    step: Dict[int, int] = {}
+    below = 0
+    for index in indexes_of(universe & ~target_mask):
+        value = aggregates[index - 1]
+        step[1 << (index - 1)] = value - below
+        below += value
     best: Optional[int] = None
     for superset in iter_supersets(target_mask, universe):
-        slack = rhs[superset] - tree.subset_sum(superset)
+        free = superset ^ target_mask
+        if free:
+            rhs += step[free & -free]
+        slack = rhs - tree.subset_sum(superset)
         if best is None or slack < best:
             best = slack
             if best <= 0:

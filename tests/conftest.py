@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.validator import GroupedValidator
+from repro.validation.tree import ValidationTree
 from repro.workloads.config import WorkloadConfig
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import (
@@ -57,3 +58,18 @@ def medium_workload():
     """A medium synthetic workload (N=12, 600 records)."""
     config = WorkloadConfig(n_licenses=12, seed=11, n_records=600)
     return WorkloadGenerator(config).generate()
+
+
+@pytest.fixture
+def tree_walks(monkeypatch):
+    """Record every ``ValidationTree.subset_sum`` call (one per equation
+    a headroom query walks)."""
+    calls = []
+    original = ValidationTree.subset_sum
+
+    def counting(tree, mask):
+        calls.append(mask)
+        return original(tree, mask)
+
+    monkeypatch.setattr(ValidationTree, "subset_sum", counting)
+    return calls

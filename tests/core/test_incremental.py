@@ -3,8 +3,12 @@
 import pytest
 
 from repro.errors import GroupingError, ValidationError
-from repro.core.incremental import IncrementalValidator
+from repro.core import incremental as incremental_module
+from repro.core.grouping import GroupStructure
+from repro.core.incremental import GroupSlice, IncrementalValidator
 from repro.core.validator import GroupedValidator
+from repro.validation.capacity import headroom as tree_headroom
+from repro.validation.tree import ValidationTree
 from repro.workloads.config import WorkloadConfig
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import example1, example1_log
@@ -102,6 +106,66 @@ class TestErrors:
             IncrementalValidator(pool.boxes(), [1, 2])
         with pytest.raises(ValidationError):
             IncrementalValidator([], [])
+
+
+class TestHeadroomMemo:
+    """The tree path answers a match set once between inserts."""
+
+    STRUCTURE = GroupStructure((frozenset({1, 2, 4}), frozenset({3, 5})), 5)
+    AGGREGATES = [100, 50, 60, 50, 25]
+
+    def make_slice(self):
+        return GroupSlice(self.STRUCTURE, self.AGGREGATES, 0)
+
+    def test_repeated_query_walks_no_tree(self, tree_walks):
+        gslice = self.make_slice()
+        assert gslice.headroom([1, 2]) == 150
+        assert len(tree_walks) == 2  # {1, 2} and {1, 2, 4}
+        tree_walks.clear()
+        assert gslice.headroom([2, 1]) == 150
+        assert gslice.headroom_batch([[1, 2], (2, 1)]) == [150, 150]
+        assert tree_walks == []
+
+    def test_insert_invalidates(self, tree_walks):
+        gslice = self.make_slice()
+        assert gslice.headroom([1, 2]) == 150
+        gslice.insert([1, 2], 140)
+        tree_walks.clear()
+        assert gslice.headroom([1, 2]) == 10
+        assert len(tree_walks) == 2
+
+    def test_memo_is_bounded_and_exact(self, tree_walks, monkeypatch):
+        monkeypatch.setattr(incremental_module, "HEADROOM_MEMO_LIMIT", 3)
+        structure = GroupStructure((frozenset({1, 2, 3, 4}),), 4)
+        aggregates = [40, 25, 60, 10]
+        gslice = GroupSlice(structure, aggregates, 0)
+        tree = ValidationTree()
+        for members, count in (((1, 2), 30), ((3,), 45), ((2, 4), 20)):
+            gslice.insert(members, count)
+            tree.insert_set(members, count)
+        sets = {
+            mask: [index for index in range(1, 5) if mask >> (index - 1) & 1]
+            for mask in range(1, 16)
+        }
+        for _round in range(2):
+            for mask, members in sets.items():
+                expected = tree_headroom(tree, aggregates, mask)
+                assert gslice.headroom(members) == expected
+                assert len(gslice._memo) <= 3
+        assert len(gslice._memo) == 3
+        # Oldest entries go first: the last set is still answered from
+        # the memo, the first one walks the tree again.
+        tree_walks.clear()
+        gslice.headroom(sets[15])
+        assert tree_walks == []
+        gslice.headroom(sets[1])
+        assert tree_walks
+
+    def test_dense_path_keeps_no_memo(self):
+        gslice = GroupSlice(self.STRUCTURE, self.AGGREGATES, 0, kernel="dense")
+        assert gslice.headroom([1, 2]) == 150
+        assert gslice.headroom_batch([[1, 2]]) == [150]
+        assert gslice._memo == {}
 
 
 class TestKernelSeam:

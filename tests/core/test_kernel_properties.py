@@ -97,6 +97,39 @@ class TestKernelTreeParity:
                 assert dense_again.violations == dense_report.violations
                 assert tree_again.violations == tree_report.violations
 
+    @settings(max_examples=120, deadline=None)
+    @given(group_scenarios())
+    def test_tree_memo_matches_unmemoized_headroom(self, scenario):
+        """The tree path's headroom memo is invisible: interleaved
+        headroom / headroom_batch / insert / revalidate calls answer
+        exactly like the un-memoized enumeration over a tree rebuilt
+        from the records inserted so far."""
+        n, aggregates, steps, probes = scenario
+        structure = GroupStructure((frozenset(range(1, n + 1)),), n)
+        gslice = GroupSlice(structure, aggregates, 0, kernel=KERNEL_TREE)
+        records = []
+
+        def expected():
+            tree = ValidationTree()
+            for members, count in records:
+                tree.insert_set(tuple(sorted(members)), count)
+            return [
+                tree_headroom(tree, aggregates, _mask(probe))
+                for probe in probes
+            ]
+
+        for members, count, check in steps:
+            want = expected()
+            assert [gslice.headroom(probe) for probe in probes] == want
+            assert gslice.headroom_batch(probes) == want
+            gslice.insert(members, count)
+            records.append((members, count))
+            if check:
+                gslice.revalidate()
+        want = expected()
+        assert gslice.headroom_batch(probes) == want
+        assert [gslice.headroom(probe) for probe in probes] == want
+
     @settings(max_examples=60, deadline=None)
     @given(group_scenarios())
     def test_batched_headroom_matches_sequential(self, scenario):

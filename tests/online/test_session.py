@@ -103,27 +103,38 @@ class TestEquationPolicyExactness:
     def test_accepted_log_always_validates(self):
         # Stream usage licenses through the equation policy: the accepted
         # log must pass offline grouped validation at every point (the
-        # policy never lets the log go infeasible).
-        generator = WorkloadGenerator(
+        # policy never lets the log go infeasible).  Aggregates are
+        # small, so rejections occur.  The 64-license pool of sixteen
+        # 4-license groups checks that a query pays for its own group
+        # only, never for a table over the whole pool.
+        configs = (
             WorkloadConfig(
-                n_licenses=6,
+                n_licenses=6, seed=2, n_records=0, aggregate_range=(200, 400)
+            ),
+            WorkloadConfig(
+                n_licenses=64,
                 seed=2,
                 n_records=0,
-                aggregate_range=(200, 400),  # small, so rejections occur
-            )
+                target_groups=16,
+                aggregate_range=(40, 100),
+            ),
         )
-        pool = generator.generate_pool()
-        session = IssuanceSession(pool, "equation")
-        validator = GroupedValidator.from_pool(pool)
-        rejections = 0
-        for issued, usage in enumerate(generator.issue_stream(pool, 200), start=1):
-            outcome = session.issue(usage)
-            rejections += not outcome.accepted
-            if issued % 25 == 0:
-                assert validator.validate(session.log).is_valid
-        assert validator.validate(session.log).is_valid
-        # With tight aggregates the stream must eventually hit capacity.
-        assert rejections > 0
+        for config in configs:
+            generator = WorkloadGenerator(config)
+            pool = generator.generate_pool()
+            session = IssuanceSession(pool, "equation")
+            validator = GroupedValidator.from_pool(pool)
+            rejections = 0
+            stream = generator.issue_stream(pool, 200)
+            for issued, usage in enumerate(stream, start=1):
+                outcome = session.issue(usage)
+                rejections += not outcome.accepted
+                if issued % 25 == 0:
+                    assert validator.validate(session.log).is_valid
+            assert validator.validate(session.log).is_valid
+            # With tight aggregates the stream must eventually hit
+            # capacity.
+            assert rejections > 0
 
     def test_equation_policy_never_rejects_what_fits(self, scenario):
         # Fill L_D^2 exactly to its limit through flexible sets.

@@ -9,6 +9,9 @@ observable differences are the new ``kernel_fast_path_hits`` /
 configs so existing metric surfaces are untouched.
 """
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.errors import ServiceError
@@ -61,6 +64,39 @@ class TestVerdictParity:
         assert [
             (o.accepted, o.rejection_reason) for o in outcomes
         ] == reference
+
+    def test_hot_catalog_over_journal_matches_tree(self, workload):
+        """A restarted service replays a journal, then sells a dozen
+        offers over and over, mostly rejected: most tree headroom
+        queries repeat a match set before the group's next accept."""
+        pool, stream = workload
+        _, first_life = serve(pool, stream, kernel="tree")
+        rng = random.Random(SEED)
+        catalog = stream[:12]
+        hot = tuple(
+            dataclasses.replace(
+                rng.choice(catalog),
+                license_id=f"HOT{serial}",
+                count=rng.randint(10, 40),
+            )
+            for serial in range(300)
+        )
+        signatures = []
+        for kernel, batch_size in (("tree", 1), ("tree", 32), ("dense", 32)):
+            with ValidationService(
+                pool,
+                ServiceConfig(kernel=kernel, batch_size=batch_size, shards=3),
+                initial_log=first_life.log,
+            ) as service:
+                signatures.append(
+                    [
+                        (o.accepted, o.rejection_reason, o.rejection_detail)
+                        for o in service.process(hot)
+                    ]
+                )
+        assert signatures[0] == signatures[1] == signatures[2]
+        accepted = sum(signature[0] for signature in signatures[0])
+        assert 0 < accepted < len(hot) // 2
 
     def test_fallback_config_matches_too(self, workload, reference):
         pool, stream = workload

@@ -120,6 +120,18 @@ class TestAdmission:
         assert not results[0].accepted
         assert results[0].headroom == 0
 
+    def test_preload_invalidates_headroom_memo(self, tree_walks):
+        shard = make_shard()
+        shard.enqueue(request(0, (1, 2), 1000))
+        results, _stats = shard.process_pending()
+        assert results[0].headroom == 150  # now memoized
+        shard.preload(0, (1, 2), 140)
+        tree_walks.clear()
+        shard.enqueue(request(1, (1, 2), 1000))
+        results, _stats = shard.process_pending()
+        assert results[0].headroom == 10
+        assert tree_walks  # the journal record forced a fresh tree walk
+
     def test_preload_unknown_group_rejected(self):
         shard = make_shard(groups=(0,))
         with pytest.raises(ServiceError):

@@ -168,12 +168,17 @@ class TestProfileCommand:
 
 class TestSimulateCommand:
     def test_simulate_prints_policy_table(self, capsys):
-        code = main(["simulate", "-n", "5", "--stream", "60", "--seed", "2"])
-        assert code == 0
-        output = capsys.readouterr().out
-        for policy in ("random", "last-fit", "first-fit",
-                       "greedy-max-remaining", "equation"):
-            assert policy in output
+        # 64 licenses: the equation policy's headroom query must cost its
+        # group's supersets, not a table over all 2^64 masks.
+        for licenses in ("5", "64"):
+            code = main(
+                ["simulate", "-n", licenses, "--stream", "60", "--seed", "2"]
+            )
+            assert code == 0
+            output = capsys.readouterr().out
+            for policy in ("random", "last-fit", "first-fit",
+                           "greedy-max-remaining", "equation"):
+                assert policy in output
 
     def test_equation_policy_serves_the_most(self, capsys):
         main(["simulate", "-n", "6", "--stream", "250", "--seed", "3"])

@@ -60,6 +60,15 @@ class TestHeadroom:
         )
         assert full == grouped
 
+    def test_cost_follows_universe_not_array(self):
+        # Only the supersets inside the universe are paid for, so a
+        # 64-license array with a 3-license universe answers at once
+        # (a 2^64-entry RHS table cannot even be allocated).
+        tree = ValidationTree()
+        assert headroom(tree, [10] * 64, 0b1, universe_mask=0b111) == 10
+        tree.insert_set((1, 2), 15)
+        assert headroom(tree, [10] * 64, 0b1, universe_mask=0b111) == 5
+
     def test_agrees_with_flow_oracle(self, table2_tree):
         counts = example1_log().counts_by_mask()
         oracle = FlowFeasibilityOracle(EXAMPLE1_AGGREGATES)
