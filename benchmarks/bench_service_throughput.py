@@ -238,8 +238,10 @@ def test_throughput_vs_executor(report, bench_json):
     )
     # The acceptance criterion is inherently about hardware: with one
     # core there is no parallelism to win, only coordination overhead,
-    # so the floor is asserted on multi-core runners only.
-    if (os.cpu_count() or 1) >= 2:
+    # so the floor is asserted on multi-core runners only.  The smoke
+    # stream is about two drains, too short for the comparison to rise
+    # above run-to-run noise, so it is asserted at full size only.
+    if not SMOKE and (os.cpu_count() or 1) >= 2:
         assert runs["resident"]["rps"] >= runs["serial"]["rps"], (
             "resident backend should not lose to serial on multi-core: "
             f"{runs['resident']['rps']:,.0f} < {runs['serial']['rps']:,.0f} rps"

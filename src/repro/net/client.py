@@ -78,9 +78,9 @@ class RequestStats:
 class WireResult:
     """One answered request: verdict plus v2 tracing extras.
 
-    ``timing`` and ``trace_id`` are ``None`` on v1 connections, when the
-    server's timing echo is off, or when no client tracer is configured
-    (respectively) -- the verdict itself is identical either way.
+    ``timing`` is ``None`` on v1 connections and ``trace_id`` when no
+    client tracer is configured -- the verdict itself is identical
+    either way.
     """
 
     outcome: IssuanceOutcome

@@ -56,7 +56,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ProtocolError
-from repro.obs.distrib import ServerTiming, TraceContext, validate_trace_id
+from repro.obs.distrib import (
+    TIMING_PHASES,
+    ServerTiming,
+    TraceContext,
+    validate_trace_id,
+)
 from repro.geometry.box import Box
 from repro.geometry.discrete import DiscreteSet
 from repro.geometry.interval import Interval
@@ -522,9 +527,6 @@ def trace_context_from_payload(
 # ---------------------------------------------------------------------------
 # Server-timing codec (v2: optional "timing" key on MSG_RESPONSE payloads)
 # ---------------------------------------------------------------------------
-_TIMING_PHASES = ("queue_us", "match_us", "admission_us", "revalidate_us")
-
-
 def timing_to_payload(timing: ServerTiming) -> Dict[str, object]:
     """Serialize the per-request server-side phase breakdown."""
     return timing.to_dict()
@@ -533,7 +535,7 @@ def timing_to_payload(timing: ServerTiming) -> Dict[str, object]:
 def timing_from_payload(payload: Dict[str, object]) -> Optional[ServerTiming]:
     """Extract the optional timing echo from a MSG_RESPONSE payload.
 
-    Returns ``None`` when absent (v1 servers, or timing echo disabled);
+    Returns ``None`` when absent (v1 servers and connections);
     raises :class:`~repro.errors.ProtocolError` on a malformed entry.
     """
     entry = payload.get("timing")
@@ -544,7 +546,7 @@ def timing_from_payload(payload: Dict[str, object]) -> Optional[ServerTiming]:
             f"timing echo must be a JSON object, got {type(entry).__name__}"
         )
     values: Dict[str, int] = {}
-    for phase in _TIMING_PHASES:
+    for phase in TIMING_PHASES:
         value = entry.get(phase)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ProtocolError(

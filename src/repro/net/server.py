@@ -92,13 +92,10 @@ class WireServerConfig:
         service as soon as the batch parsed from one read chunk has been
         submitted.  Tests set ``False`` to drive :meth:`flush` manually
         and observe window saturation deterministically.
-    timing_echo:
-        When ``True`` (default), the service collects a per-request
-        phase breakdown (:class:`repro.obs.distrib.ServerTiming`) and
-        the server echoes it under the ``"timing"`` key of RESPONSE
-        frames on protocol-v2 connections.  v1 connections never see
-        the key; disabling skips clock reads entirely (benchmarked
-        baseline path).
+
+    Every RESPONSE frame on a protocol-v2 connection carries the
+    request's phase breakdown (:class:`repro.obs.distrib.ServerTiming`)
+    under its ``"timing"`` key; v1 connections never see the key.
     """
 
     host: str = "127.0.0.1"
@@ -106,7 +103,6 @@ class WireServerConfig:
     max_inflight: int = 256
     read_limit: int = 1 << 16
     auto_flush: bool = True
-    timing_echo: bool = True
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -165,8 +161,7 @@ class AdmissionServer:
         self.config = config or WireServerConfig()
         self.events = events if events is not None else service.events
         self.metrics = service.metrics
-        if self.config.timing_echo:
-            service.enable_request_timings()
+        service.enable_request_timings()
         monitor = service.monitor
         if monitor is not None:
             # Lets the monitor grade wire window saturation (the sixth
@@ -460,7 +455,6 @@ class AdmissionServer:
             "connections_open": len(self._connections),
             "requests_served": self._requests_served,
             "draining": self._draining,
-            "timing_echo": self.config.timing_echo,
         }
 
     async def _handle_admin(self, connection: _Connection, frame: Frame) -> None:

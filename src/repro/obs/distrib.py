@@ -48,6 +48,7 @@ from repro.obs.export import render_span_tree
 from repro.obs.trace import SpanRecord
 
 __all__ = [
+    "TIMING_PHASES",
     "TraceContext",
     "ServerTiming",
     "AssembledTrace",
@@ -55,6 +56,9 @@ __all__ = [
     "assemble_files",
     "validate_trace_id",
 ]
+
+#: The four phase fields of a :class:`ServerTiming`, in pipeline order.
+TIMING_PHASES = ("queue_us", "match_us", "admission_us", "revalidate_us")
 
 #: Maximum accepted length of a trace/span id on the wire.
 MAX_ID_LENGTH = 64
@@ -118,7 +122,10 @@ class ServerTiming:
 
     All phases are integer microseconds; ``shard_id`` is ``-1`` for
     requests rejected before reaching a shard (e.g. instance-cap
-    rejections, which never queue).
+    rejections, which never queue).  ``revalidate_us`` is not a share
+    of the batch pass: it is the full time the request's group spent
+    revalidating during the drain that completed the request, which is
+    how long its verdict waited for revalidation.
     """
 
     queue_us: int

@@ -64,7 +64,12 @@ def build_serve_bench_record(
     git_probe: Optional[GitProbe] = None,
 ) -> RunRecord:
     """Build (not append) a ``serve-bench`` record from a finished
-    in-process service run."""
+    in-process service run.
+
+    ``phases_us`` holds the service's mean server phases per finished
+    request (:meth:`~repro.service.ValidationService.phase_means_us`),
+    which are stamped on every run, traced or not.
+    """
     snapshot = service.metrics.snapshot()
     latency = service.metrics.histogram("latency_seconds")
     stats: Dict[str, float] = {
@@ -90,6 +95,7 @@ def build_serve_bench_record(
         git=git_metadata(git_probe),
         config=dict(config or {}),
         stats=stats,
+        phases_us=service.phase_means_us(),
         counters=counter_totals(snapshot),
         metrics=snapshot,
         health=health,

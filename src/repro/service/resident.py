@@ -52,9 +52,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.errors import ServiceError
 from repro.service.executor import DrainOutput
 from repro.service.shard import (
-    BatchTiming,
     GroupShard,
-    RevalidationTiming,
     ShardRequest,
     ShardResult,
     ShardSpec,
@@ -75,9 +73,10 @@ __all__ = [
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: Compact wire aliases (documentation only -- everything is tuples).
-RequestRow = Tuple[int, str, int, Tuple[int, ...], int, float]
+RequestRow = Tuple[int, str, int, Tuple[int, ...], int, float, float]
 ResultRow = Tuple[
-    int, str, int, Tuple[int, ...], int, bool, object, int, float, float, float
+    int, str, int, Tuple[int, ...], int, bool, object, int,
+    float, float, float, float,
 ]
 
 
@@ -92,7 +91,8 @@ def encode_request(request: ShardRequest) -> RequestRow:
         request.group_id,
         request.members,
         request.count,
-        request.submitted_at,
+        request.received,
+        request.enqueued,
     )
 
 
@@ -104,7 +104,8 @@ def decode_request(row: RequestRow) -> ShardRequest:
         group_id=row[2],
         members=tuple(row[3]),
         count=row[4],
-        submitted_at=row[5],
+        received=row[5],
+        enqueued=row[6],
     )
 
 
@@ -119,9 +120,10 @@ def encode_result(result: ShardResult) -> Tuple[object, ...]:
         result.accepted,
         result.reason,
         result.headroom,
-        result.service_time,
-        result.submitted_at,
-        result.processed_at,
+        result.received,
+        result.enqueued,
+        result.dequeued,
+        result.decided,
     )
 
 
@@ -133,8 +135,9 @@ def decode_result(row: Sequence[object]) -> ShardResult:
 def encode_stats(stats: ShardStats) -> Tuple[object, ...]:
     """Flatten one drain's :class:`ShardStats` into its wire tuple.
 
-    ``per_group`` travels as sorted items and ``batch_timings`` as
-    nested tuples, so the payload stays deterministic and O(batch).
+    ``per_group`` travels as sorted items and ``batch_timings`` -- already
+    plain tuples -- as is, so the payload stays deterministic and
+    O(batch).
     """
     return (
         stats.processed,
@@ -146,50 +149,12 @@ def encode_stats(stats: ShardStats) -> Tuple[object, ...]:
         stats.kernel_fast_path_hits,
         stats.kernel_fallback,
         tuple(sorted(stats.per_group.items())),
-        tuple(
-            (
-                timing.shard_id,
-                timing.size,
-                timing.started,
-                timing.duration,
-                tuple(
-                    (
-                        reval.group_id,
-                        reval.equations_checked,
-                        reval.violations,
-                        reval.started,
-                        reval.duration,
-                    )
-                    for reval in timing.revalidations
-                ),
-            )
-            for timing in stats.batch_timings
-        ),
+        tuple(stats.batch_timings),
     )
 
 
 def decode_stats(row: Sequence[object]) -> ShardStats:
     """Rebuild :class:`ShardStats` from its wire tuple."""
-    per_group = dict(row[8])  # type: ignore[call-overload]
-    timings = [
-        BatchTiming(
-            shard_id=t[0],
-            size=t[1],
-            started=t[2],
-            duration=t[3],
-            revalidations=tuple(
-                RevalidationTiming(
-                    group_id=r[0],
-                    equations_checked=r[1],
-                    violations=r[2],
-                    started=r[3],
-                    duration=r[4],
-                )
-                for r in t[4]
-            ),
-        )
-        for t in row[9]  # type: ignore[union-attr]
-    ]
     return ShardStats(
         processed=row[0],  # type: ignore[arg-type]
         accepted=row[1],  # type: ignore[arg-type]
@@ -199,8 +164,8 @@ def decode_stats(row: Sequence[object]) -> ShardStats:
         audit_violations=row[5],  # type: ignore[arg-type]
         kernel_fast_path_hits=row[6],  # type: ignore[arg-type]
         kernel_fallback=row[7],  # type: ignore[arg-type]
-        per_group=per_group,
-        batch_timings=timings,
+        per_group=dict(row[8]),  # type: ignore[call-overload]
+        batch_timings=list(row[9]),  # type: ignore[call-overload]
     )
 
 
@@ -247,11 +212,6 @@ def _worker_main(
             if kind == "close":
                 conn.send_bytes(pickle.dumps(("closed",), _PROTOCOL))
                 break
-            if kind == "timings":
-                for shard in shards.values():
-                    shard.collect_timings = bool(message[1])
-                conn.send_bytes(pickle.dumps(("ok",), _PROTOCOL))
-                continue
             if kind == "drain":
                 try:
                     sections: List[Tuple[int, object, object]] = []
@@ -444,17 +404,6 @@ class ResidentProcessExecutor:
             self._last_drain_bytes = shipped
             self._bytes_shipped_total += shipped
             return outputs
-
-    def set_collect_timings(self, flag: bool) -> None:
-        """Broadcast the timing-collection flag to every worker."""
-        with self._lock:
-            if self._failed or self._closed:
-                return
-            payload = pickle.dumps(("timings", bool(flag)), _PROTOCOL)
-            for conn in self._conns:
-                self._send(conn, payload)
-            for conn in self._conns:
-                self._recv(conn)
 
     def close(self) -> None:
         """Stop every worker: polite ``close`` message, join, then

@@ -56,7 +56,7 @@ from repro.obs.events import (
     EVENT_REJECTION,
     EventLog,
 )
-from repro.obs.distrib import ServerTiming
+from repro.obs.distrib import TIMING_PHASES, ServerTiming
 from repro.obs.trace import NULL_SPAN, Tracer
 from repro.online.session import IssuanceOutcome
 from repro.service.cache import GroupTables, MatchCache
@@ -143,9 +143,13 @@ class ValidationService:
             on_evict=self._on_cache_evict if events is not None else None,
         )
         self._shard_count = min(self.config.shards, self._tables.group_count)
-        self._timings_enabled = False
+        #: Whether finished requests keep a ServerTiming until popped.
+        self._keep_timings = False
         self._request_timings: Dict[int, ServerTiming] = {}
-        self._match_us: Dict[int, int] = {}
+        #: Summed microseconds of each of TIMING_PHASES over the ``_timed``
+        #: finished requests (plain ints, outside the metrics registry).
+        self._phase_totals_us = [0] * len(TIMING_PHASES)
+        self._timed = 0
         self._latency = self.metrics.histogram(
             "latency_seconds", self.config.latency_window
         )
@@ -202,9 +206,6 @@ class ValidationService:
             )
             for shard_id in range(self._shard_count)
         ]
-        if self.tracer is not None:
-            for shard in self._shards:
-                shard.collect_timings = True
         self._kernel_by_group: Dict[int, str] = {
             group_id: gslice.kernel_name
             for shard_slices in slices_by_shard.values()
@@ -286,41 +287,40 @@ class ValidationService:
         return occupancy
 
     # ------------------------------------------------------------------
-    # Per-request timing breakdown (wire timing echo)
+    # Per-request phase timings
     # ------------------------------------------------------------------
-    @property
-    def request_timings_enabled(self) -> bool:
-        """Whether per-request :class:`~repro.obs.distrib.ServerTiming`
-        breakdowns are being collected."""
-        return self._timings_enabled
-
     def enable_request_timings(self) -> None:
-        """Start collecting a per-request phase breakdown.
+        """Keep each finished request's phase breakdown until popped.
 
-        Every completed sequence id then owns one
+        Phases are stamped for every request regardless; this only makes
+        every sequence id completed from now on own one
         :class:`~repro.obs.distrib.ServerTiming`, claimable exactly once
-        via :meth:`pop_request_timing`.  The admission verdicts are
-        byte-identical with collection on or off; only clocks are read.
-        Enabled by :class:`repro.net.server.AdmissionServer` when its
-        config asks for the v2 timing echo.
+        via :meth:`pop_request_timing`.  It stays opt-in because a caller
+        that never pops would hold one entry per request.
+        :class:`repro.net.server.AdmissionServer` turns it on for the v2
+        timing echo.
         """
-        self._timings_enabled = True
-        for shard in self._shards:
-            shard.collect_timings = True
-        # Resident workers own live shard state in other processes;
-        # broadcast the flag so their drains collect timings too.
-        broadcast = getattr(self._executor, "set_collect_timings", None)
-        if broadcast is not None:
-            broadcast(True)
+        self._keep_timings = True
 
     def pop_request_timing(self, seq: int) -> Optional[ServerTiming]:
         """Claim (and forget) the timing breakdown for ``seq``.
 
-        Returns ``None`` when collection is disabled, the seq is
-        unknown, or the timing was already claimed -- callers must pop
-        every completed seq to keep the buffer from growing.
+        Returns ``None`` when retention is off, the seq is unknown, or
+        the timing was already claimed -- callers must pop every
+        completed seq to keep the buffer from growing.
         """
         return self._request_timings.pop(seq, None)
+
+    def phase_means_us(self) -> Dict[str, float]:
+        """Return the mean microseconds per finished request of each
+        server phase (``queue_us``, ``match_us``, ``admission_us``,
+        ``revalidate_us``); empty before any request finished."""
+        if not self._timed:
+            return {}
+        return {
+            phase: total / self._timed
+            for phase, total in zip(TIMING_PHASES, self._phase_totals_us)
+        }
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -387,24 +387,23 @@ class ValidationService:
             # counters, so the id alone cannot prove a parent lives in
             # another journal; the assembler keys on this marker.
             span.set_attr("remote_parent", True)
-        match_started = time.perf_counter() if self._timings_enabled else 0.0
-        if tracer is not None:
-            hits_before = self._matcher.hits
-            with tracer.span("match", parent=span) as match_span:
-                matched = tuple(sorted(self._matcher.match(usage)))
-                match_span.set_attr(
-                    "cache_hit", self._matcher.hits > hits_before
-                )
-                match_span.set_attr("matched", len(matched))
-        else:
-            matched = tuple(sorted(self._matcher.match(usage)))
-        match_us = (
-            max(0, int((time.perf_counter() - match_started) * 1e6))
-            if self._timings_enabled
-            else 0
-        )
+        hits = self._matcher.hits if tracer is not None else 0
+        received = time.perf_counter()
+        matched = tuple(sorted(self._matcher.match(usage)))
+        enqueued = time.perf_counter()
         seq = self._seq
-        span.set_attr("seq", seq)
+        if tracer is not None and span:
+            tracer.record(
+                "match",
+                start=received,
+                duration=enqueued - received,
+                parent=span,
+                attrs={
+                    "cache_hit": self._matcher.hits > hits,
+                    "matched": len(matched),
+                },
+            )
+            span.set_attr("seq", seq)
         if not matched:
             self._seq += 1
             outcome = IssuanceOutcome(
@@ -418,17 +417,7 @@ class ValidationService:
             self._pending_outcomes[seq] = outcome
             self._count_outcome(outcome)
             self._emit_outcome_event(seq, outcome)
-            if self._timings_enabled:
-                # Instance rejections never reach a shard: queue /
-                # admission / revalidate phases are structurally zero.
-                self._request_timings[seq] = ServerTiming(
-                    queue_us=0,
-                    match_us=match_us,
-                    admission_us=0,
-                    revalidate_us=0,
-                    shard_id=-1,
-                    kernel="none",
-                )
+            self._observe(seq, received, enqueued)
             span.set_attr("outcome", "rejected")
             span.set_attr("reason", REASON_INSTANCE)
             span.end()
@@ -441,7 +430,8 @@ class ValidationService:
             group_id=group_id,
             members=matched,
             count=usage.count,
-            submitted_at=time.perf_counter(),
+            received=received,
+            enqueued=enqueued,
         )
         try:
             shard.enqueue(request)
@@ -458,8 +448,6 @@ class ValidationService:
             span.end()
             raise
         self._seq += 1
-        if self._timings_enabled:
-            self._match_us[seq] = match_us
         if span:
             span.set_attr("group_id", group_id)
             span.set_attr("shard", shard.shard_id)
@@ -560,17 +548,11 @@ class ValidationService:
                 )
             now = time.perf_counter()
             completed_results: List[ShardResult] = []
-            reval_us: Dict[int, int] = {}
-            for _shard_id, (results, stats) in sorted(outputs.items()):
-                if self._timings_enabled:
-                    # Revalidation runs once per touched group per batch;
-                    # its cost is attributed to every request of that
-                    # group completed by this drain (amortized view).
-                    for timing in stats.batch_timings:
-                        for reval in timing.revalidations:
-                            reval_us[reval.group_id] = reval_us.get(
-                                reval.group_id, 0
-                            ) + max(0, int(reval.duration * 1e6))
+            revalidate_us: Dict[int, int] = {}
+            for shard_id, (results, stats) in sorted(outputs.items()):
+                self._observe_batches(
+                    drain_span, shard_id, stats.batch_timings, revalidate_us
+                )
                 self.metrics.counter("batches_total").inc(amount=stats.batches)
                 self.metrics.counter("equations_checked_total").inc(
                     amount=stats.equations_checked
@@ -590,15 +572,12 @@ class ValidationService:
                     self.metrics.counter("kernel_fallback").inc(
                         amount=stats.kernel_fallback
                     )
-                if tracer is not None and drain_span:
-                    self._record_batch_spans(drain_span, stats)
                 completed_results.extend(results)
             # Complete in global submission order so the service log (and
             # every metric derived from it) is independent of how groups
             # were spread over shards.
             for result in sorted(completed_results, key=lambda r: r.seq):
-                self._latency.observe(now - result.submitted_at)
-                self._complete(result, reval_us=reval_us)
+                self._complete(result, now, revalidate_us.get(result.group_id, 0))
             drain_span.end()
         if self.monitor is not None:
             self.monitor.tick()
@@ -643,46 +622,12 @@ class ValidationService:
                     for group_id, names in plane_names.items()
                     if group_id in shard.group_ids
                 },
-                collect_timings=shard.collect_timings,
             )
             for shard in self._shards
         ]
 
-    def _record_batch_spans(self, drain_span, stats) -> None:
-        """Stitch shard-side batch/revalidation timings under the drain
-        span (they arrive as plain picklable data -- see
-        :class:`repro.service.shard.BatchTiming`)."""
-        tracer = self.tracer
-        if tracer is None:  # pragma: no cover - callers already check
-            return
-        for timing in stats.batch_timings:
-            batch_record = tracer.record(
-                "shard_batch",
-                start=timing.started,
-                duration=timing.duration,
-                parent=drain_span,
-                attrs={"shard": timing.shard_id, "batch_size": timing.size},
-            )
-            if batch_record is None:
-                continue
-            for reval in timing.revalidations:
-                tracer.record(
-                    "revalidate",
-                    start=reval.started,
-                    duration=reval.duration,
-                    parent=batch_record,
-                    attrs={
-                        "group_id": reval.group_id,
-                        "equations_checked": reval.equations_checked,
-                        "violations": reval.violations,
-                    },
-                )
-
     def _complete(
-        self,
-        result: ShardResult,
-        *,
-        reval_us: Optional[Dict[int, int]] = None,
+        self, result: ShardResult, completed: float, revalidate_us: int
     ) -> None:
         if result.accepted:
             detail = None
@@ -703,43 +648,127 @@ class ValidationService:
         self._pending_outcomes[result.seq] = outcome
         self._count_outcome(outcome)
         self._emit_outcome_event(result.seq, outcome, group_id=result.group_id)
-        if self._timings_enabled:
-            self._request_timings[result.seq] = ServerTiming(
-                queue_us=max(
-                    0, int((result.processed_at - result.submitted_at) * 1e6)
-                ),
-                match_us=self._match_us.pop(result.seq, 0),
-                admission_us=max(0, int(result.service_time * 1e6)),
-                revalidate_us=(reval_us or {}).get(result.group_id, 0),
-                shard_id=result.group_id % self._shard_count,
-                kernel=self._kernel_by_group.get(result.group_id, "tree"),
+        self._observe(
+            result.seq,
+            result.received,
+            result.enqueued,
+            result,
+            completed,
+            revalidate_us,
+        )
+
+    # ------------------------------------------------------------------
+    # Timing views: every one is derived from the same clock stamps
+    # ------------------------------------------------------------------
+    def _observe(
+        self,
+        seq: int,
+        received: float,
+        enqueued: float,
+        result: Optional[ShardResult] = None,
+        completed: float = 0.0,
+        revalidate_us: int = 0,
+    ) -> None:
+        """Derive one finished request's timing views from its stamps.
+
+        The ``latency_seconds`` histogram (enqueue to the drain's end
+        at ``completed``), the phase totals behind
+        :meth:`phase_means_us`, the retained
+        :class:`~repro.obs.distrib.ServerTiming`, and the ``queue_wait``
+        and ``admission`` spans read the same stamps as the ``match``
+        span recorded at submit, so every view agrees to the
+        microsecond.  ``result`` is ``None`` for an instance rejection,
+        which never reaches a shard: its queue, admission, and
+        revalidate phases are zero and it has no latency sample.
+        ``revalidate_us`` is the full time the request's group spent
+        revalidating in the drain that completed it -- the time its
+        verdict waited for, not a share.
+        """
+        if result is None:
+            dequeued = decided = enqueued
+        else:
+            dequeued, decided = result.dequeued, result.decided
+            self._latency.observe(completed - enqueued)
+        queue_us = int((dequeued - enqueued) * 1e6)
+        match_us = int((enqueued - received) * 1e6)
+        admission_us = int((decided - dequeued) * 1e6)
+        totals = self._phase_totals_us
+        totals[0] += queue_us
+        totals[1] += match_us
+        totals[2] += admission_us
+        totals[3] += revalidate_us
+        self._timed += 1
+        if self._keep_timings:
+            if result is None:
+                shard_id, kernel = -1, "none"
+            else:
+                shard_id = result.group_id % self._shard_count
+                kernel = self._kernel_by_group[result.group_id]
+            self._request_timings[seq] = ServerTiming(
+                queue_us, match_us, admission_us, revalidate_us, shard_id, kernel
             )
-        span = self._request_spans.pop(result.seq, None)
+        span = self._request_spans.pop(seq, None)
         tracer = self.tracer
-        # A span only exists for this seq if the tracer was live at
-        # submit time, but the guard keeps the invariant lexical.
-        if span is not None and tracer is not None:
-            tracer.record(
-                "queue_wait",
-                start=result.submitted_at,
-                duration=max(0.0, result.processed_at - result.submitted_at),
-                parent=span,
+        if span is None or tracer is None or result is None:
+            return
+        tracer.record(
+            "queue_wait", start=enqueued, duration=dequeued - enqueued, parent=span
+        )
+        tracer.record(
+            "admission",
+            start=dequeued,
+            duration=decided - dequeued,
+            parent=span,
+            attrs={
+                "group_id": result.group_id,
+                "headroom": result.headroom,
+                "accepted": result.accepted,
+            },
+        )
+        span.set_attr("outcome", "accepted" if result.accepted else "rejected")
+        if result.reason:
+            span.set_attr("reason", result.reason)
+        span.end()
+
+    def _observe_batches(
+        self,
+        drain_span,
+        shard_id: int,
+        batch_timings,
+        revalidate_us: Dict[int, int],
+    ) -> None:
+        """Add one shard's per-group revalidation time to ``revalidate_us``
+        and, when tracing, stitch its ``shard_batch``/``revalidate`` spans
+        under ``drain_span`` (see :attr:`ShardStats.batch_timings`)."""
+        tracer = self.tracer
+        for size, started, ended, revalidations in batch_timings:
+            batch_record = (
+                tracer.record(
+                    "shard_batch",
+                    start=started,
+                    duration=ended - started,
+                    parent=drain_span,
+                    attrs={"shard": shard_id, "batch_size": size},
+                )
+                if tracer is not None
+                else None
             )
-            tracer.record(
-                "admission",
-                start=result.processed_at,
-                duration=result.service_time,
-                parent=span,
-                attrs={
-                    "group_id": result.group_id,
-                    "headroom": result.headroom,
-                    "accepted": result.accepted,
-                },
-            )
-            span.set_attr("outcome", "accepted" if result.accepted else "rejected")
-            if result.reason:
-                span.set_attr("reason", result.reason)
-            span.end()
+            for group_id, checked, violations, begun, done in revalidations:
+                revalidate_us[group_id] = revalidate_us.get(group_id, 0) + int(
+                    (done - begun) * 1e6
+                )
+                if tracer is not None and batch_record is not None:
+                    tracer.record(
+                        "revalidate",
+                        start=begun,
+                        duration=done - begun,
+                        parent=batch_record,
+                        attrs={
+                            "group_id": group_id,
+                            "equations_checked": checked,
+                            "violations": violations,
+                        },
+                    )
 
     def _count_outcome(self, outcome: IssuanceOutcome) -> None:
         if outcome.accepted:

@@ -30,9 +30,7 @@ from repro.core.incremental import GroupSlice
 from repro.core.kernel import KERNEL_DENSE, KernelPlane
 
 __all__ = [
-    "BatchTiming",
     "GroupShard",
-    "RevalidationTiming",
     "ShardRequest",
     "ShardResult",
     "ShardSpec",
@@ -57,7 +55,10 @@ class ShardRequest:
     group_id: int
     members: Tuple[int, ...]
     count: int
-    submitted_at: float
+    #: ``time.perf_counter()`` stamps taken by the service's ``submit``:
+    #: when matching began, and when the matched request was enqueued.
+    received: float
+    enqueued: float
 
 
 @dataclass(frozen=True)
@@ -74,36 +75,13 @@ class ShardResult:
     reason: str | None
     #: Headroom observed at admission time (before any insert).
     headroom: int
-    #: In-shard processing time of this request, seconds.
-    service_time: float
-    #: Submission timestamp, echoed back for latency accounting.
-    submitted_at: float
-    #: When in-shard processing of this request began (monotonic clock);
-    #: ``processed_at - submitted_at`` is the queue wait.
-    processed_at: float = 0.0
-
-
-@dataclass(frozen=True)
-class RevalidationTiming:
-    """Timing of one per-group incremental revalidation (plain data, so
-    it survives the pickle round-trip of the process executor)."""
-
-    group_id: int
-    equations_checked: int
-    violations: int
-    started: float
-    duration: float
-
-
-@dataclass(frozen=True)
-class BatchTiming:
-    """Timing of one admission batch plus its revalidation passes."""
-
-    shard_id: int
-    size: int
-    started: float
-    duration: float
-    revalidations: Tuple[RevalidationTiming, ...]
+    #: The request's stamps, echoed back for the service's timing views.
+    received: float
+    enqueued: float
+    #: When admission of this request began (its queue wait ended) and
+    #: when its verdict was reached, on the same clock.
+    dequeued: float
+    decided: float
 
 
 @dataclass
@@ -122,9 +100,12 @@ class ShardStats:
     #: the tree walk because the group exceeded the kernel cap.
     kernel_fallback: int = 0
     per_group: Dict[int, int] = field(default_factory=dict)
-    #: Batch/revalidation timings, collected only when the owning shard
-    #: has ``collect_timings`` set (i.e. the service is tracing).
-    batch_timings: List[BatchTiming] = field(default_factory=list)
+    #: One plain tuple per batch, ``(size, started, ended, revalidations)``,
+    #: where each revalidation is ``(group_id, equations_checked,
+    #: violations, started, ended)``; stamps are ``time.perf_counter()``.
+    batch_timings: List[
+        Tuple[int, float, float, Tuple[Tuple[int, int, int, float, float], ...]]
+    ] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -156,7 +137,6 @@ class ShardSpec:
     #: ``{group_id: (C_name, H_name)}`` shared-memory plane names for the
     #: dense groups the coordinator allocated; empty when planes are off.
     plane_names: Dict[int, Tuple[str, str]]
-    collect_timings: bool = False
 
 
 class GroupShard:
@@ -185,10 +165,6 @@ class GroupShard:
         #: Shared planes this shard attached to (worker side only),
         #: closed -- never unlinked -- on worker shutdown.
         self._attached_planes: List[KernelPlane] = []
-        #: When True, :meth:`process_pending` fills
-        #: :attr:`ShardStats.batch_timings` (set by a tracing service;
-        #: costs one extra clock read per batch + per revalidation).
-        self.collect_timings = False
 
     @classmethod
     def from_spec(cls, spec: ShardSpec) -> "GroupShard":
@@ -230,7 +206,6 @@ class GroupShard:
         shard = cls(
             spec.shard_id, slices, spec.batch_size, spec.queue_capacity
         )
-        shard.collect_timings = spec.collect_timings
         shard._attached_planes = attached
         for group_id, members, count in spec.preloads:
             if group_id in plane_groups:
@@ -335,13 +310,13 @@ class GroupShard:
         """
         results: List[ShardResult] = []
         stats = ShardStats()
-        collect = self.collect_timings
+        clock = time.perf_counter
         while self._pending:
             batch = [
                 self._pending.popleft()
                 for _ in range(min(self._batch_size, len(self._pending)))
             ]
-            batch_started = time.perf_counter()
+            batch_started = clock()
             touched: Dict[int, GroupSlice] = {}
             # Dense-kernel batch prefetch: answer every headroom query of
             # the batch with one vectorized H-table gather per group.  A
@@ -367,7 +342,7 @@ class GroupShard:
                     dict(zip(positions, slacks)),
                 )
             for position, request in enumerate(batch):
-                started = time.perf_counter()
+                dequeued = clock()
                 gslice = self._slices[request.group_id]
                 cached = prefetched.get(request.group_id)
                 if cached is not None and cached[0] == gslice.version:
@@ -399,38 +374,31 @@ class GroupShard:
                         accepted=accepted,
                         reason=None if accepted else REASON_EQUATION,
                         headroom=slack,
-                        service_time=time.perf_counter() - started,
-                        submitted_at=request.submitted_at,
-                        processed_at=started,
+                        received=request.received,
+                        enqueued=request.enqueued,
+                        dequeued=dequeued,
+                        decided=clock(),
                     )
                 )
             # One incremental revalidation pass per batch: the audit cost
             # is paid once for every slice the batch dirtied.
             stats.batches += 1
-            revalidations: List[RevalidationTiming] = []
+            revalidations = []
             for gslice in touched.values():
-                reval_started = time.perf_counter()
+                reval_started = clock()
                 report, checked = gslice.revalidate()
                 stats.equations_checked += checked
                 stats.audit_violations += len(report.violations)
-                if collect:
-                    revalidations.append(
-                        RevalidationTiming(
-                            group_id=gslice.group_id,
-                            equations_checked=checked,
-                            violations=len(report.violations),
-                            started=reval_started,
-                            duration=time.perf_counter() - reval_started,
-                        )
-                    )
-            if collect:
-                stats.batch_timings.append(
-                    BatchTiming(
-                        shard_id=self.shard_id,
-                        size=len(batch),
-                        started=batch_started,
-                        duration=time.perf_counter() - batch_started,
-                        revalidations=tuple(revalidations),
+                revalidations.append(
+                    (
+                        gslice.group_id,
+                        checked,
+                        len(report.violations),
+                        reval_started,
+                        clock(),
                     )
                 )
+            stats.batch_timings.append(
+                (len(batch), batch_started, clock(), tuple(revalidations))
+            )
         return results, stats

@@ -250,7 +250,6 @@ class TestAdminChannel:
                     wire = health["data"]["wire"]
                     assert wire["requests_served"] == 8
                     assert wire["in_flight"] == 0
-                    assert wire["timing_echo"] is True
                     names = [
                         entry["name"]
                         for entry in health["data"]["monitor"]["indicators"]

@@ -341,6 +341,9 @@ class TestCaptureBuilders:
         assert record.counters["requests_total"] == 50.0
         assert "equations_checked_total" in record.counters
         assert record.metrics["counters"]
+        # Server phases are stamped on every run, no tracer needed.
+        assert set(record.phases_us) == set(PHASE_KEYS) - {"wire_us"}
+        assert all(mean > 0 for mean in record.phases_us.values())
 
     def test_bench_builder_extracts_headline_from_sections(self, tmp_path):
         registry = RunRegistry(str(tmp_path))

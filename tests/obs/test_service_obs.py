@@ -9,7 +9,9 @@ The acceptance properties of the observability layer:
 * the ``equations_checked`` span attributes are *accounting*, not
   decoration: they sum to exactly the run's ``equations_checked_total``;
 * the event journal captures every admission/rejection plus the
-  operational transitions (backpressure, cache eviction, epoch change).
+  operational transitions (backpressure, cache eviction, epoch change);
+* every timing view is read from the same per-request clock stamps: a
+  request's ``ServerTiming`` phases equal its span durations.
 """
 
 import pytest
@@ -161,6 +163,44 @@ class TestSpanTree:
         # request share is close to half, not exactly half.
         assert 0 < len(requests) < len(stream)
         assert abs(tracer.roots_started - 2 * tracer.roots_sampled) <= 1
+
+
+class TestTimingViews:
+    @pytest.mark.parametrize("executor", ["serial", "resident"])
+    def test_server_timing_equals_span_durations(self, workload, executor):
+        pool, stream = workload
+        tracer = Tracer()
+        with ValidationService(
+            pool,
+            ServiceConfig(shards=2, batch_size=16, executor=executor),
+            tracer=tracer,
+        ) as service:
+            service.enable_request_timings()
+            service.process(stream)
+            timings = [
+                service.pop_request_timing(seq) for seq in range(len(stream))
+            ]
+        records = tracer.records()
+        seq_of = {
+            r.span_id: r.attrs["seq"]
+            for r in records
+            if r.name == "request" and r.attrs.get("outcome") != "overload"
+        }
+        span_us = {
+            (seq_of[r.parent_id], r.name): r.duration * 1e6
+            for r in records
+            if r.parent_id in seq_of
+        }
+        assert len(seq_of) == len(stream)
+        for seq, timing in enumerate(timings):
+            for phase, name in (
+                ("queue_us", "queue_wait"),
+                ("match_us", "match"),
+                ("admission_us", "admission"),
+            ):
+                # Instance rejections never queue: no span, a zero phase.
+                expected = span_us.get((seq, name), 0.0)
+                assert abs(getattr(timing, phase) - expected) < 1, (seq, phase)
 
 
 class TestEventJournal:

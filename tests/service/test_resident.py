@@ -29,8 +29,6 @@ from repro.service.resident import (
     encode_stats,
 )
 from repro.service.shard import (
-    BatchTiming,
-    RevalidationTiming,
     ShardRequest,
     ShardResult,
     ShardStats,
@@ -79,7 +77,6 @@ def poison_planes(spec):
             group_id: (f"repro-missing-{os.getpid()}-c", names[1])
             for group_id, names in spec.plane_names.items()
         },
-        collect_timings=spec.collect_timings,
     )
 
 
@@ -97,7 +94,8 @@ class TestWireFormat:
             group_id=2,
             members=(3, 5),
             count=11,
-            submitted_at=1.25,
+            received=1.0,
+            enqueued=1.25,
         )
         assert decode_request(encode_request(request)) == request
 
@@ -111,9 +109,10 @@ class TestWireFormat:
             accepted=False,
             reason="equation",
             headroom=3,
-            service_time=0.001,
-            submitted_at=1.0,
-            processed_at=1.5,
+            received=0.5,
+            enqueued=1.0,
+            dequeued=1.5,
+            decided=1.501,
         )
         assert decode_result(encode_result(result)) == result
 
@@ -128,23 +127,7 @@ class TestWireFormat:
             kernel_fast_path_hits=5,
             kernel_fallback=0,
             per_group={3: 2, 1: 3},
-            batch_timings=[
-                BatchTiming(
-                    shard_id=0,
-                    size=3,
-                    started=10.0,
-                    duration=0.5,
-                    revalidations=(
-                        RevalidationTiming(
-                            group_id=1,
-                            equations_checked=7,
-                            violations=0,
-                            started=10.1,
-                            duration=0.2,
-                        ),
-                    ),
-                ),
-            ],
+            batch_timings=[(3, 10.0, 10.5, ((1, 7, 0, 10.1, 10.3),))],
         )
         decoded = decode_stats(encode_stats(stats))
         assert decoded == stats
@@ -157,7 +140,8 @@ class TestWireFormat:
                 group_id=0,
                 members=(1,),
                 count=1,
-                submitted_at=0.0,
+                received=0.0,
+                enqueued=0.0,
             )
         )
         assert isinstance(row, tuple)
@@ -316,19 +300,32 @@ class TestResidentService:
                 executor.drain([])
 
     def test_timings_collected_in_workers(self, workload):
+        """Every request is stamped, in the workers too, but only a
+        service that asked for retention keeps a timing per seq, and
+        each one pops exactly once."""
         pool, stream = workload
-        config = ServiceConfig(shards=2, executor="resident")
-        with ValidationService(pool, config) as service:
-            service.enable_request_timings()
-            outcomes_with_seq = []
-            for usage in stream[:20]:
-                seq = service.submit(usage)
-                outcomes_with_seq.append(seq)
-            service.drain()
-            timings = [
-                service.pop_request_timing(seq) for seq in outcomes_with_seq
-            ]
-            assert all(timing is not None for timing in timings)
+        seqs = range(len(stream))
+        for executor in ("serial", "resident"):
+            config = ServiceConfig(shards=2, executor=executor)
+            with ValidationService(pool, config) as service:
+                service.process(stream)
+                assert service._request_timings == {}
+                assert all(service.pop_request_timing(s) is None for s in seqs)
+                assert service.phase_means_us()["admission_us"] > 0
+            with ValidationService(pool, config) as service:
+                service.enable_request_timings()
+                outcomes = service.process(stream)
+                timings = [service.pop_request_timing(s) for s in seqs]
+                assert all(timing is not None for timing in timings)
+                assert all(service.pop_request_timing(s) is None for s in seqs)
+                assert service._request_timings == {}
+                accepted = [
+                    timing
+                    for timing, outcome in zip(timings, outcomes)
+                    if outcome.accepted
+                ]
+                assert accepted
+                assert all(timing.revalidate_us > 0 for timing in accepted)
 
     def test_workers_exit_when_coordinator_ends_close(self, workload):
         """A worker must see end-of-file once the coordinator's ends of

@@ -27,7 +27,8 @@ def request(seq, members, count, group_id=0):
         group_id=group_id,
         members=tuple(members),
         count=count,
-        submitted_at=0.0,
+        received=0.0,
+        enqueued=0.0,
     )
 
 
