@@ -1,19 +1,26 @@
 """REP009: no blocking calls reachable from async code.
 
-The wire server (PR 6) runs on one event loop; a single blocking call
-inside any coroutine stalls *every* connection.  This rule walks the
-call graph from every ``async def`` in scope and flags blocking
-operations -- ``time.sleep``, synchronous socket/file I/O, subprocess
-spawns, and the repo's own synchronous ``service.drain`` -- whether
-they appear in the coroutine body itself or in a plain function reached
-through any confidently resolved call chain.
+The wire server runs on one event loop; a single blocking call inside
+any coroutine stalls *every* connection.  This rule walks the call graph
+from every ``async def`` in scope and flags blocking operations --
+``time.sleep``, synchronous socket/file I/O, subprocess spawns, and a
+blocking pipe receive (``recv_bytes``/``recv``, where a resident drain
+waits for its workers) -- whether they appear in the coroutine body
+itself or in a plain function reached through any confidently resolved
+call chain.  CPU work such as a serial service drain is not blocking in
+this sense: it holds the GIL on any thread, so it runs on the loop.
 
 The sanctioned escape hatch is an executor hop: call sites spelled
 inside the arguments of ``loop.run_in_executor(...)`` or
 ``asyncio.to_thread(...)`` are exempt, and chains are not followed
 through such sites (the callee runs on a worker thread).  Traversal is
 bounded in depth and memoized; unresolved call sites end a chain (the
-confident-or-silent stance of :mod:`repro.lint.analysis`).
+confident-or-silent stance of :mod:`repro.lint.analysis`).  Calls on
+attributes of other objects are among them: a chain through
+``self.service.*`` is not followed into the service, so the rule cannot
+see that the wire server dispatches a resident drain and waits for the
+pipes before collecting.  That order is pinned by a test instead (a
+PING answered while a drain is outstanding).
 """
 
 from __future__ import annotations
@@ -51,10 +58,10 @@ BLOCKING_CALLS = frozenset(
     }
 )
 
-#: Dotted suffixes that block: ``self.service.drain`` et al. -- the
-#: synchronous drain of the in-process ValidationService joins worker
-#: futures and must hop through an executor from async code.
-BLOCKING_SUFFIXES = ("service.drain",)
+#: Dotted suffixes that block: a ``multiprocessing`` pipe receive
+#: (``conn.recv_bytes()``, ``conn.recv()``) waits until the other end
+#: writes, so async code awaits the pipe's readability first.
+BLOCKING_SUFFIXES = ("recv_bytes", "recv")
 
 
 def _is_blocking(name: Optional[str]) -> bool:
@@ -76,9 +83,10 @@ class AsyncSafetyRule(Rule):
     title = "blocking call reachable from async code"
     rationale = (
         "The admission server multiplexes every connection on one event "
-        "loop (PR 6); a blocking call anywhere in a coroutine's call "
-        "chain stalls all of them. Blocking work hops through "
-        "loop.run_in_executor / asyncio.to_thread."
+        "loop; a blocking call anywhere in a coroutine's call chain "
+        "stalls all of them. Wait for readiness on the loop "
+        "(loop.add_reader) or hop through loop.run_in_executor / "
+        "asyncio.to_thread."
     )
     default_scope = ("repro/net/*",)
     requires_analysis = True
@@ -156,7 +164,8 @@ class AsyncSafetyRule(Rule):
                 rule_id=self.rule_id,
                 message=(
                     f"blocking call {site.name}() is reachable from "
-                    f"async def {entry.name}() ({path}); hop through "
+                    f"async def {entry.name}() ({path}); wait for "
+                    f"readiness with loop.add_reader, or hop through "
                     f"loop.run_in_executor(None, ...) or asyncio.to_thread"
                 ),
             )

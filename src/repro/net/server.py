@@ -18,10 +18,16 @@ real socket.  Design points:
 * **Read-side backpressure.**  Connections are read in bounded chunks
   through asyncio's flow-controlled streams (``limit=`` on the reader),
   so one firehosing client cannot balloon server memory.
-* **Batched flushes.**  Requests parsed from one TCP read chunk are
-  submitted together and completed by a single service drain, so
-  pipelining clients get the same batch-amortized revalidation the
-  in-process :meth:`ValidationService.process` loop enjoys.
+* **Batched flushes on the loop.**  Requests parsed from one TCP read
+  chunk are submitted together and completed by a single service drain,
+  so pipelining clients get the same batch-amortized revalidation the
+  in-process :meth:`ValidationService.process` loop enjoys.  The drain
+  runs on the event-loop thread with no thread hop: a serial drain is
+  CPU work that would hold the GIL on any thread, and a resident one is
+  first dispatched, its worker pipes awaited with ``loop.add_reader``,
+  and only then collected, so the loop never waits in a pipe receive.
+  A failed drain answers every in-flight request with ``INTERNAL``
+  under its own request id and keeps the connections open.
 * **Graceful drain.**  :meth:`shutdown` (also armed for SIGTERM/SIGINT
   by the ``repro serve`` CLI) stops accepting, flushes every in-flight
   request, emits a ``drain`` event, and only then closes connections.
@@ -48,7 +54,8 @@ from __future__ import annotations
 import asyncio
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from multiprocessing.connection import Connection
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     ProtocolError,
@@ -63,6 +70,7 @@ from repro.obs.events import (
     EVENT_DRAIN,
     EventLog,
 )
+from repro.online.session import IssuanceOutcome
 from repro.service.service import ValidationService
 
 __all__ = ["AdmissionServer", "WireServerConfig"]
@@ -290,9 +298,9 @@ class AdmissionServer:
                 connection, 0, protocol.ERR_BAD_REQUEST, str(exc)
             )
         except ServiceError as exc:
-            # The service refused or broke mid-flush (closed, another
-            # submitter, ...).  Frame it as INTERNAL so the peer learns
-            # the admission failed instead of watching the socket drop.
+            # The service broke outside any one request (a failed drain
+            # answers its requests itself).  Frame it as INTERNAL so the
+            # peer learns of it instead of watching the socket drop.
             logger.error(
                 "service failure on connection %s: %s", connection.peer, exc
             )
@@ -414,8 +422,8 @@ class AdmissionServer:
             )
             return 0
         try:
-            # The service is single-submitter, and flush() runs its drain
-            # on a worker thread while holding this mutex: submitting --
+            # The service is single-submitter, and flush() awaits its
+            # workers' replies while holding this mutex: submitting --
             # and recording the seq as in flight -- must not interleave
             # with a drain, or responses could no longer be mapped back.
             async with self._flush_mutex:
@@ -518,7 +526,19 @@ class AdmissionServer:
     # Flushing
     # ------------------------------------------------------------------
     async def flush(self) -> int:
-        """Drain the service; answer every completed request.
+        """Drain the service on the event loop; answer every in-flight
+        request.
+
+        The service first dispatches its batches; the loop waits for the
+        returned worker pipes to become readable, and only then does
+        :meth:`ValidationService.drain` collect the replies, so nothing
+        here blocks in a receive.  With the serial executor nothing is
+        dispatched and the drain is plain CPU work on this thread.  A
+        cancellation that arrives while the workers hold a batch takes
+        effect once that batch is collected and answered, so no
+        dispatched batch outlives its flush.  A failed drain answers
+        each in-flight request with ``INTERNAL`` under its own request
+        id.
 
         Returns how many responses were written.  Concurrent callers are
         serialized; a second caller whose requests were already flushed
@@ -529,40 +549,73 @@ class AdmissionServer:
                 # Nothing of ours in flight -- nothing to map back.
                 return 0
             ordered_seqs = sorted(self._pending)
-            # drain() joins shard worker futures -- blocking work that
-            # would stall every connection if run on the event loop.
-            # The flush mutex still serializes drains, so outcome order
-            # stays deterministic.
-            loop = asyncio.get_running_loop()
-            outcomes = await loop.run_in_executor(None, self.service.drain)
-            if len(outcomes) != len(ordered_seqs):
-                # The server must be the service's only submitter; a
-                # mismatch means that contract broke and responses can
-                # no longer be routed trustworthily.
-                raise ServiceError(
-                    f"drain returned {len(outcomes)} outcome(s) for "
-                    f"{len(ordered_seqs)} wire request(s); the service "
-                    f"has another submitter"
-                )
-            self.metrics.counter("wire_flushes_total").inc()
-            written = 0
-            for seq, outcome in zip(ordered_seqs, outcomes):
-                connection, request_id = self._pending.pop(seq)
-                self._requests_served += 1
-                payload = protocol.outcome_to_payload(outcome)
-                # Timings must be claimed for every seq (the buffer is
-                # pop-once); only v2 peers get the echo on the wire.
-                timing = self.service.pop_request_timing(seq)
-                version = self._wire_version(connection)
-                if timing is not None and version >= 2:
-                    payload["timing"] = protocol.timing_to_payload(timing)
-                frame = protocol.encode_frame(
-                    protocol.MSG_RESPONSE, request_id, payload, version=version
-                )
-                await self._send(connection, frame)
-                written += 1
-            self.metrics.gauge("wire_in_flight").set(len(self._pending))
+            cancelled = False
+            try:
+                pipes = self.service.dispatch()
+                if pipes:
+                    cancelled = await _wait_readable(pipes)
+                outcomes = self.service.drain()
+                if len(outcomes) != len(ordered_seqs):
+                    # The server must be the service's only submitter; a
+                    # mismatch means that contract broke and responses
+                    # can no longer be routed trustworthily.
+                    raise ServiceError(
+                        f"drain returned {len(outcomes)} outcome(s) for "
+                        f"{len(ordered_seqs)} wire request(s); the service "
+                        f"has another submitter"
+                    )
+            except ServiceError as exc:
+                await self._fail_pending(ordered_seqs, exc)
+                written = 0
+            else:
+                written = await self._answer(ordered_seqs, outcomes)
+            if cancelled:
+                raise asyncio.CancelledError()
             return written
+
+    async def _answer(
+        self, ordered_seqs: List[int], outcomes: List[IssuanceOutcome]
+    ) -> int:
+        """Write one RESPONSE per drained request; return how many."""
+        self.metrics.counter("wire_flushes_total").inc()
+        written = 0
+        for seq, outcome in zip(ordered_seqs, outcomes):
+            connection, request_id = self._pending.pop(seq)
+            self._requests_served += 1
+            payload = protocol.outcome_to_payload(outcome)
+            # Timings must be claimed for every seq (the buffer is
+            # pop-once); only v2 peers get the echo on the wire.
+            timing = self.service.pop_request_timing(seq)
+            version = self._wire_version(connection)
+            if timing is not None and version >= 2:
+                payload["timing"] = protocol.timing_to_payload(timing)
+            frame = protocol.encode_frame(
+                protocol.MSG_RESPONSE, request_id, payload, version=version
+            )
+            await self._send(connection, frame)
+            written += 1
+        self.metrics.gauge("wire_in_flight").set(len(self._pending))
+        return written
+
+    async def _fail_pending(
+        self, ordered_seqs: List[int], exc: ServiceError
+    ) -> None:
+        """Answer every request of a failed drain with ``INTERNAL`` under
+        its own request id; the connections stay open."""
+        logger.error(
+            "drain failed; answering %d in-flight request(s) with an "
+            "internal error: %s",
+            len(ordered_seqs),
+            exc,
+        )
+        self.metrics.counter("wire_internal_errors_total").inc()
+        for seq in ordered_seqs:
+            connection, request_id = self._pending.pop(seq)
+            self.metrics.counter("wire_requests_total").inc(("internal",))
+            await self._send_error(
+                connection, request_id, protocol.ERR_INTERNAL, str(exc)
+            )
+        self.metrics.gauge("wire_in_flight").set(len(self._pending))
 
     # ------------------------------------------------------------------
     # Internals
@@ -621,3 +674,37 @@ class AdmissionServer:
             await writer.wait_closed()
         except ConnectionError:  # pragma: no cover - racy peer teardown
             pass
+
+
+async def _wait_readable(pipes: Sequence[Connection]) -> bool:
+    """Wait on the running loop until each of ``pipes`` (not empty) has a
+    reply (or end-of-file) to read; return whether a cancellation arrived
+    meanwhile.
+
+    A cancelled wait goes on waiting: the batches are already in the
+    workers, so the caller must still collect and answer them, and then
+    raise the cancellation itself.
+    """
+    loop = asyncio.get_running_loop()
+    ready: asyncio.Future[None] = loop.create_future()
+    waiting = {pipe.fileno() for pipe in pipes}
+
+    def on_readable(fd: int) -> None:
+        loop.remove_reader(fd)
+        waiting.discard(fd)
+        if not waiting:
+            ready.set_result(None)
+
+    for fd in tuple(waiting):
+        loop.add_reader(fd, on_readable, fd)
+    cancelled = False
+    try:
+        while not ready.done():
+            try:
+                await asyncio.shield(ready)
+            except asyncio.CancelledError:
+                cancelled = True
+    finally:
+        for fd in waiting:
+            loop.remove_reader(fd)
+    return cancelled

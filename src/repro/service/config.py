@@ -43,7 +43,10 @@ class ServiceConfig:
         ``"serial"`` (the default: drains run in the caller, zero
         overhead) or ``"resident"`` (long-lived worker processes that
         own their shards' state -- O(batch) IPC per drain,
-        shared-memory kernel planes for coordinator reads).
+        shared-memory kernel planes for coordinator reads).  A wire
+        server drains both on its event loop: a serial drain as plain
+        CPU work, a resident one by awaiting the worker pipes that
+        :meth:`~repro.service.ValidationService.dispatch` returns.
     workers:
         Worker-process count for the resident backend; ``0`` (default)
         means one worker per shard.  Ignored by the serial backend.

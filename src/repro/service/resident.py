@@ -25,13 +25,18 @@ Ownership and ordering contract (see DESIGN.md "Serving architecture"):
 * A shard is mutated by exactly one worker, always from its message
   loop -- per-shard serialization is structural, as in the serial
   backend, so verdict streams are byte-identical to serial.
-* Drains are two-phase: the coordinator sends every involved worker its
-  batch first, then collects every reply, so workers run concurrently.
+* Drains are two-phase, and the phases are separate calls:
+  :meth:`~ResidentProcessExecutor.dispatch` sends every involved worker
+  its batch and returns the workers' pipes, and
+  :meth:`~ResidentProcessExecutor.drain` collects every reply, sending
+  first whatever was not yet sent.  Workers run concurrently, and a
+  caller on an event loop waits for the pipes to become readable between
+  the two calls, so it never blocks in the receive.
 * On any worker error the coordinator requeues the taken requests (its
-  own view returns to exactly the pre-drain state), marks the executor
-  failed -- the erroring worker's state can no longer be trusted -- and
-  raises :class:`~repro.errors.ServiceError` carrying the worker
-  traceback.
+  own view returns to exactly the pre-dispatch state), marks the
+  executor failed -- the erroring worker's state can no longer be
+  trusted -- and raises :class:`~repro.errors.ServiceError` carrying the
+  worker traceback.
 * Shutdown: workers close (never unlink) their attached planes and
   exit on the ``close`` message, or on end-of-file once the
   coordinator's ends of their pipes are closed (each worker first
@@ -255,7 +260,8 @@ class ResidentProcessExecutor:
     once (fork inherits it; spawn pickles it -- either way, specs are
     O(config + preload log), never live kernel tables) and blocks until
     every worker acknowledges readiness.  Thereafter
-    :meth:`drain` moves only pending batches and verdicts.
+    :meth:`dispatch` and :meth:`drain` move only pending batches and
+    verdicts.
 
     The coordinator's ``shards`` list keeps its *original* (stale)
     shard objects: queue management still happens there, but equation
@@ -287,6 +293,14 @@ class ResidentProcessExecutor:
         self._procs: List[Process] = []
         self._failed = False
         self._closed = False
+        #: Batches sent and not yet collected, one ``(worker, [(shard,
+        #: taken requests)])`` entry per message, in send order (a worker
+        #: answers its messages in the order it received them).
+        self._in_flight: List[
+            Tuple[int, List[Tuple[GroupShard, List[ShardRequest]]]]
+        ] = []
+        #: IPC bytes of the drain in progress (sends so far + replies).
+        self._shipped = 0
         self._drains = 0
         self._bytes_shipped_total = 0
         self._last_drain_bytes = 0
@@ -343,67 +357,102 @@ class ResidentProcessExecutor:
     # ------------------------------------------------------------------
     # Contract methods
     # ------------------------------------------------------------------
-    def drain(self, shards: List[GroupShard]) -> Dict[int, DrainOutput]:
-        """Ship each busy shard's pending batch to its owning worker.
+    def dispatch(self, shards: List[GroupShard]) -> List[Connection]:
+        """Send each shard's pending batch to its owning worker; return
+        the pipes of every worker with a reply outstanding.
 
-        Two-phase: all sends, then all receives, so workers overlap.
-        On any failure the taken requests are requeued (coordinator
-        state returns to exactly pre-drain) and the executor is marked
+        The first phase of :meth:`drain`, callable on its own so that an
+        event loop can wait for the returned pipes to become readable
+        (``loop.add_reader(pipe.fileno(), ...)``) before :meth:`drain`
+        collects replies that are already there.  With nothing to send,
+        nothing is checked: the pipes of earlier sends (or ``[]``) are
+        returned.
+        """
+        with self._lock:
+            if shards:
+                self._send_locked(shards)
+            workers = sorted({worker for worker, _sections in self._in_flight})
+            return [self._conns[worker] for worker in workers]
+
+    def drain(self, shards: List[GroupShard]) -> List[Tuple[int, DrainOutput]]:
+        """Send what :meth:`dispatch` has not, then collect every reply.
+
+        Returns ``[(shard_id, (results, stats))]`` in ascending shard id,
+        one entry per shard per message (a shard answers twice when more
+        requests reached it between :meth:`dispatch` and this call).  All
+        sends happen before any receive, so workers overlap.  On any
+        failure the taken requests are requeued (coordinator state
+        returns to exactly pre-dispatch) and the executor is marked
         failed -- worker state may have diverged and no further drains
         are accepted.
         """
         with self._lock:
-            if self._failed or self._closed:
-                raise ServiceError(
-                    "resident executor is closed or failed; restart the service"
-                )
-            taken: Dict[int, List[ShardRequest]] = {}
-            by_worker: Dict[int, List[Tuple[int, Tuple[RequestRow, ...]]]] = {}
-            shard_index: Dict[int, GroupShard] = {}
+            self._send_locked(shards)
+            outputs: List[Tuple[int, DrainOutput]] = []
             try:
-                for shard in shards:
-                    worker = self._owner.get(shard.shard_id)
-                    if worker is None:
-                        raise ServiceError(
-                            f"shard {shard.shard_id} has no resident worker "
-                            f"(executor built for shards {sorted(self._owner)})"
-                        )
-                    rows = shard.take_pending()
-                    taken[shard.shard_id] = rows
-                    shard_index[shard.shard_id] = shard
-                    by_worker.setdefault(worker, []).append(
-                        (
-                            shard.shard_id,
-                            tuple(encode_request(r) for r in rows),
-                        )
-                    )
-                shipped = 0
-                for worker, sections in sorted(by_worker.items()):
-                    payload = pickle.dumps(("drain", sections), _PROTOCOL)
-                    shipped += len(payload)
-                    self._send(self._conns[worker], payload)
-                outputs: Dict[int, DrainOutput] = {}
-                for worker in sorted(by_worker):
+                for worker, _sections in self._in_flight:
                     reply, size = self._recv_sized(self._conns[worker])
-                    shipped += size
+                    self._shipped += size
                     if reply[0] != "done":
                         raise ServiceError(
                             f"resident worker {worker} drain failed: {reply[1]}"
                         )
                     for shard_id, result_rows, stats_row in reply[1]:
-                        outputs[shard_id] = (
-                            [decode_result(row) for row in result_rows],
-                            decode_stats(stats_row),
-                        )
+                        results = [decode_result(row) for row in result_rows]
+                        outputs.append((shard_id, (results, decode_stats(stats_row))))
             except BaseException:
-                self._failed = True
-                for shard_id, rows in taken.items():
-                    shard_index[shard_id].requeue(rows)
+                self._fail_locked()
                 raise
+            self._in_flight.clear()
             self._drains += 1
-            self._last_drain_bytes = shipped
-            self._bytes_shipped_total += shipped
+            self._last_drain_bytes = self._shipped
+            self._bytes_shipped_total += self._shipped
+            self._shipped = 0
+            # Stable: a shard's two answers keep their message order.
+            outputs.sort(key=lambda output: output[0])
             return outputs
+
+    def _send_locked(self, shards: List[GroupShard]) -> None:
+        """Take and send the pending batch of every shard in ``shards``
+        (one message per owning worker); the caller holds the lock."""
+        if self._failed or self._closed:
+            raise ServiceError(
+                "resident executor is closed or failed; restart the service"
+            )
+        by_worker: Dict[int, List[GroupShard]] = {}
+        for shard in shards:
+            worker = self._owner.get(shard.shard_id)
+            if worker is None:
+                raise ServiceError(
+                    f"shard {shard.shard_id} has no resident worker "
+                    f"(executor built for shards {sorted(self._owner)})"
+                )
+            by_worker.setdefault(worker, []).append(shard)
+        try:
+            for worker, owned in sorted(by_worker.items()):
+                sections = [(shard, shard.take_pending()) for shard in owned]
+                self._in_flight.append((worker, sections))
+                batches = [
+                    (shard.shard_id, tuple(map(encode_request, rows)))
+                    for shard, rows in sections
+                ]
+                payload = pickle.dumps(("drain", batches), _PROTOCOL)
+                self._shipped += len(payload)
+                self._send(self._conns[worker], payload)
+        except BaseException:
+            self._fail_locked()
+            raise
+
+    def _fail_locked(self) -> None:
+        """Requeue every request taken by an uncollected send, newest
+        message first so each queue regains its original order, and
+        refuse further drains; the caller holds the lock."""
+        self._failed = True
+        for _worker, sections in reversed(self._in_flight):
+            for shard, rows in sections:
+                shard.requeue(rows)
+        self._in_flight.clear()
+        self._shipped = 0
 
     def close(self) -> None:
         """Stop every worker: polite ``close`` message, join, then

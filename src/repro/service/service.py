@@ -14,7 +14,9 @@ Theorem 2:
 3. **admit** -- :meth:`drain` runs every busy shard through the
    configured executor; shards process their queues in FIFO batches with
    exact group-restricted headroom admission and one incremental
-   revalidation pass per batch;
+   revalidation pass per batch.  A caller that must not block first
+   calls :meth:`dispatch`, waits for the returned worker pipes, and
+   then drains;
 4. **account** -- counters (accepted / rejected-by-reason / overload),
    end-to-end latency histograms (p50/p95/p99), per-shard queue-depth
    gauges, and cache statistics land in a
@@ -39,6 +41,7 @@ Examples
 from __future__ import annotations
 
 import time
+from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ServiceError, ServiceOverloadedError, ValidationError
@@ -57,7 +60,7 @@ from repro.obs.events import (
     EventLog,
 )
 from repro.obs.distrib import TIMING_PHASES, ServerTiming
-from repro.obs.trace import NULL_SPAN, Tracer
+from repro.obs.trace import NULL_SPAN, Span, Tracer, _NullSpan
 from repro.online.session import IssuanceOutcome
 from repro.service.cache import GroupTables, MatchCache
 from repro.service.config import ServiceConfig
@@ -155,6 +158,9 @@ class ValidationService:
         )
         self._seq = 0
         self._request_spans: Dict[int, object] = {}
+        #: The ``drain`` span of a :meth:`dispatch` not yet collected by
+        #: :meth:`drain` (``NULL_SPAN`` when untraced), else ``None``.
+        self._dispatched: Optional[Span | _NullSpan] = None
         self._pending_outcomes: Dict[int, IssuanceOutcome] = {}
         self._log = ValidationLog()
         self._closed = False
@@ -457,9 +463,32 @@ class ValidationService:
         )
         return seq
 
+    def dispatch(self) -> List[Connection]:
+        """Ship every queued batch to the executor without waiting.
+
+        Returns the worker pipes whose replies the next :meth:`drain`
+        collects.  A caller that must not block -- an event loop --
+        waits for them to become readable (``loop.add_reader(
+        pipe.fileno(), ...)``) and only then drains, so the drain never
+        waits in a receive.  The serial executor has no workers: it
+        ships nothing, returns ``[]``, and does all the work in
+        :meth:`drain`.  Calling :meth:`drain` without a dispatch does
+        both halves.
+        """
+        if self._closed:
+            raise ServiceError("service is closed")
+        busy = [shard for shard in self._shards if shard.depth]
+        if busy and self._dispatched is None:
+            self._dispatched = self._start_drain_span()
+        return self._executor.dispatch(busy)
+
     def drain(self) -> List[IssuanceOutcome]:
         """Process every queued request; return all newly completed
-        outcomes (instant rejects included) in submission order."""
+        outcomes (instant rejects included) in submission order.
+
+        Collects what :meth:`dispatch` shipped and drains whatever it
+        did not.
+        """
         return [outcome for _seq, outcome in self._drain_completed()]
 
     def issue(self, usage: UsageLicense) -> IssuanceOutcome:
@@ -526,14 +555,11 @@ class ValidationService:
         by sequence number, clearing the completion buffer."""
         if self._closed:
             raise ServiceError("service is closed")
-        tracer = self.tracer
         busy = [shard for shard in self._shards if shard.depth]
-        if busy:
-            drain_span = (
-                tracer.start_span("drain", shards=len(busy))
-                if tracer is not None
-                else NULL_SPAN
-            )
+        drain_span, self._dispatched = self._dispatched, None
+        if busy or drain_span is not None:
+            if drain_span is None:
+                drain_span = self._start_drain_span()
             outputs = self._executor.drain(busy)
             # Resident backend: per-drain IPC is O(batch) -- record it
             # so the bench can prove state never crosses the boundary.
@@ -542,14 +568,13 @@ class ValidationService:
                 self.metrics.counter("ipc_bytes_shipped_total").inc(
                     amount=shipped
                 )
-            for shard in busy:
-                self.metrics.gauge("queue_depth").set(
-                    shard.depth, (f"shard{shard.shard_id}",)
-                )
             now = time.perf_counter()
             completed_results: List[ShardResult] = []
             revalidate_us: Dict[int, int] = {}
-            for shard_id, (results, stats) in sorted(outputs.items()):
+            for shard_id, (results, stats) in outputs:
+                self.metrics.gauge("queue_depth").set(
+                    self._shards[shard_id].depth, (f"shard{shard_id}",)
+                )
                 self._observe_batches(
                     drain_span, shard_id, stats.batch_timings, revalidate_us
                 )
@@ -578,12 +603,20 @@ class ValidationService:
             # were spread over shards.
             for result in sorted(completed_results, key=lambda r: r.seq):
                 self._complete(result, now, revalidate_us.get(result.group_id, 0))
+            if drain_span:
+                drain_span.set_attr(
+                    "shards", len({shard_id for shard_id, _output in outputs})
+                )
             drain_span.end()
         if self.monitor is not None:
             self.monitor.tick()
         completed = sorted(self._pending_outcomes.items())
         self._pending_outcomes.clear()
         return completed
+
+    def _start_drain_span(self) -> Span | _NullSpan:
+        tracer = self.tracer
+        return tracer.start_span("drain") if tracer is not None else NULL_SPAN
 
     def _replay(self, log: ValidationLog) -> None:
         """Load previously accepted issuances into shard state unchecked

@@ -24,3 +24,17 @@ def settle():
 async def sanctioned():
     loop = asyncio.get_running_loop()
     await loop.run_in_executor(None, lambda: time.sleep(0.1))
+
+
+async def collect(conn):
+    return gather(conn)
+
+
+def gather(conn):
+    return unpack(conn)
+
+
+def unpack(conn):
+    header = conn.recv_bytes()  # expect: REP009
+    return header + conn.recv()  # expect: REP009
+

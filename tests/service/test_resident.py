@@ -279,6 +279,29 @@ class TestResidentService:
             assert counted == service._executor.bytes_shipped_total
             assert counted > 0
 
+    def test_dispatch_then_drain_matches_process(self, workload):
+        """``dispatch()`` ships without waiting and ``drain()`` collects;
+        requests submitted in between reach the same shards in a second
+        message and are drained too, in submission order."""
+        pool, stream = workload
+        with ValidationService(pool, ServiceConfig(shards=2)) as reference:
+            expected = signatures(reference.process(stream[:60]))
+        for executor in ("serial", "resident"):
+            config = ServiceConfig(shards=2, executor=executor)
+            with ValidationService(pool, config) as service:
+                outcomes = []
+                for start in range(0, 60, 20):
+                    for usage in stream[start:start + 10]:
+                        service.submit(usage)
+                    pipes = service.dispatch()
+                    assert bool(pipes) == (executor == "resident")
+                    for usage in stream[start + 10:start + 20]:
+                        service.submit(usage)
+                    outcomes.extend(service.drain())
+                    assert service.pending == 0
+                assert signatures(outcomes) == expected
+                assert service.dispatch() == []
+
     def test_failed_drain_requeues_and_poisons_executor(self, workload):
         pool, stream = workload
         config = ServiceConfig(shards=2, executor="resident")
@@ -298,6 +321,28 @@ class TestResidentService:
             assert service.pending == pending_before
             with pytest.raises(ServiceError):
                 executor.drain([])
+
+    def test_failed_drain_requeues_a_dispatched_batch_in_order(self, workload):
+        """A batch already in the workers is requeued too, ahead of the
+        requests submitted after it was dispatched."""
+        pool, stream = workload
+        config = ServiceConfig(shards=2, executor="resident")
+        with ValidationService(pool, config) as service:
+            routable = [u for u in stream if service._matcher.match(u)]
+            for usage in routable[:3]:
+                service.submit(usage)
+            assert service.dispatch()
+            for usage in routable[3:6]:
+                service.submit(usage)
+            assert service.pending == 3
+            for conn in service._executor._conns:
+                conn.close()
+            with pytest.raises(ServiceError):
+                service.drain()
+            assert service.pending == 6
+            for shard in service._shards:
+                seqs = [request.seq for request in shard._pending]
+                assert seqs == sorted(seqs)
 
     def test_timings_collected_in_workers(self, workload):
         """Every request is stamped, in the workers too, but only a
