@@ -258,8 +258,8 @@ def test_resident_ipc(report, bench_json):
       integer-width jitter (the dense stats reply carries larger
       ``kernel_fast_path_hits`` counters, a few bytes), even though the
       dense configuration keeps up to ``2 x 8 * 2^{N_k}`` bytes of
-      resident kernel state per group -- state never crosses the pipe
-      (it lives in shared memory / in-worker);
+      mutable kernel state per group -- state never crosses the pipe
+      (each worker builds and owns its groups' tables);
     * verdicts are byte-identical to the serial reference either way.
     """
     pool, stream = _workload()
@@ -303,9 +303,9 @@ def test_resident_ipc(report, bench_json):
     lines.append("")
     lines.append(
         "per-drain bytes equal across kernels (within integer-width "
-        "jitter): the drain ships the pending batch only; kernel tables "
-        "stay resident in the workers (dense ones in shared memory, "
-        "readable by the coordinator zero-copy)."
+        "jitter): the drain ships the pending batch only; kernel tables, "
+        "trees and dense ones alike, stay resident in the worker that "
+        "owns them."
     )
     report("service_resident_ipc", "\n".join(lines))
     bench_json(

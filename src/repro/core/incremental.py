@@ -31,7 +31,6 @@ from repro.core.kernel import (
     KERNEL_NAMES,
     KERNEL_TREE,
     DenseHeadroomKernel,
-    KernelPlane,
 )
 from repro.core.overlap import OverlapGraph
 from repro.core.remap import globalize_mask, position_array, remapped_aggregates
@@ -110,8 +109,6 @@ class GroupSlice:
         group_id: int,
         kernel: str = KERNEL_TREE,
         kernel_cap: int = DEFAULT_KERNEL_CAP,
-        planes: Optional[Tuple[KernelPlane, KernelPlane]] = None,
-        adopt_planes: bool = False,
     ):
         if kernel not in KERNEL_NAMES:
             raise ValidationError(
@@ -130,10 +127,7 @@ class GroupSlice:
         self._memo: Dict[int, int] = {}
         if kernel == KERNEL_DENSE and len(self._local_aggregates) <= kernel_cap:
             self._kernel = DenseHeadroomKernel(
-                self._local_aggregates,
-                max_n=kernel_cap,
-                planes=planes,
-                adopt=adopt_planes,
+                self._local_aggregates, max_n=kernel_cap
             )
         else:
             self._validator = TreeValidator(self._local_aggregates)
@@ -192,15 +186,6 @@ class GroupSlice:
         revalidation (0 on the tree path) -- the per-update work the
         revalidate span attributes report."""
         return self._touched_since_reval
-
-    def kernel_occupancy(self) -> Optional[Dict[str, int]]:
-        """Return the dense kernel's live occupancy (``None`` on the tree
-        path).  When the kernel sits on shared planes this reads the
-        worker-maintained tables directly -- the coordinator's zero-copy
-        monitor view (see :meth:`DenseHeadroomKernel.occupancy`)."""
-        if self._kernel is None:
-            return None
-        return self._kernel.occupancy()
 
     def localize(self, members: Iterable[int]) -> Tuple[int, ...]:
         """Translate global license indexes to this group's local indexes.

@@ -52,6 +52,11 @@ replaces pays a pointer-chasing tree traversal *per superset equation*,
 so the kernel wins by orders of magnitude on paper-scale groups -- see
 ``benchmarks/bench_kernel.py``.
 
+The tables are plain heap arrays with one owner: the process that
+serves the group (Theorem 2 gives no other group a reason to read
+them).  A resident worker builds its groups' tables from the aggregates
+and replays their preloads, exactly as it rebuilds a validation tree.
+
 Memory is the limit: three resident int64 tables (``C``, ``H``, and the
 static RHS ``A``) cost ``3 * 8 * 2^{N_k}`` bytes, so construction
 refuses universes beyond a cap (default
@@ -64,10 +69,7 @@ above never re-grow a ``2^N`` loop.
 
 from __future__ import annotations
 
-import os
-from itertools import count as _monotonic_count
-from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -86,8 +88,6 @@ __all__ = [
     "KERNEL_DENSE",
     "KERNEL_NAMES",
     "KERNEL_TREE",
-    "KernelPlane",
-    "KernelPlaneAllocator",
 ]
 
 #: Strategy name for the existing validation-tree walk (the default).
@@ -98,168 +98,6 @@ KERNEL_DENSE = "dense"
 KERNEL_NAMES = (KERNEL_TREE, KERNEL_DENSE)
 
 _I64 = np.int64
-
-#: Process-unique suffix source for shared-memory plane names (a plain
-#: monotonic counter -- no ambient entropy; uniqueness across processes
-#: comes from the creator's pid baked into the name).
-_PLANE_SEQUENCE = _monotonic_count()
-
-
-class KernelPlane:
-    """One named dense ``int64`` plane: heap- or shared-memory-backed.
-
-    The resident-worker executor (:mod:`repro.service.resident`) needs
-    the dense kernel's ``C``/``H`` tables visible from two processes at
-    once: the worker that owns the shard *writes* them, while the
-    coordinator serves admin/monitor reads (kernel occupancy, future
-    snapshots) zero-copy -- without round-tripping the worker.  A plane
-    wraps either a plain heap array (``shared=False``, the default used
-    everywhere workers are off) or a ``multiprocessing.shared_memory``
-    segment exposed as the same ndarray view, so
-    :class:`DenseHeadroomKernel` is oblivious to the backing.
-
-    Lifecycle discipline (see DESIGN.md "Serving architecture"): the
-    *creator* (the coordinator) both closes and unlinks; *attachers*
-    (workers) only close.  Cross-process reads of a live plane may
-    observe a torn batch mid-update -- fine for monitoring, never used
-    for admission decisions (those happen in the owning worker only).
-    """
-
-    def __init__(
-        self,
-        array: NDArray[np.int64],
-        *,
-        name: Optional[str] = None,
-        segment: Optional[shared_memory.SharedMemory] = None,
-        owner: bool = False,
-    ):
-        self.ndarray = array
-        self.name = name
-        self._segment = segment
-        self._owner = owner
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def heap(cls, length: int) -> "KernelPlane":
-        """Allocate a plain in-process plane (the no-workers fallback)."""
-        return cls(np.zeros(length, dtype=_I64))
-
-    @classmethod
-    def create(cls, name: str, length: int) -> "KernelPlane":
-        """Create (and own) a shared-memory plane, zero-filled."""
-        segment = shared_memory.SharedMemory(
-            name=name, create=True, size=length * 8
-        )
-        array = np.ndarray((length,), dtype=_I64, buffer=segment.buf)
-        array[:] = 0
-        return cls(array, name=name, segment=segment, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, length: int) -> "KernelPlane":
-        """Attach to an existing shared plane by name (worker side)."""
-        segment = shared_memory.SharedMemory(name=name)
-        array = np.ndarray((length,), dtype=_I64, buffer=segment.buf)
-        return cls(array, name=name, segment=segment, owner=False)
-
-    # ------------------------------------------------------------------
-    # Accessors / lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def shared(self) -> bool:
-        """Return whether this plane lives in shared memory."""
-        return self._segment is not None
-
-    @property
-    def length(self) -> int:
-        """Return the number of int64 slots."""
-        return int(self.ndarray.shape[0])
-
-    def close(self) -> None:
-        """Drop this process's mapping (idempotent).  The creator also
-        unlinks the segment so the name disappears system-wide."""
-        if self._closed or self._segment is None:
-            self._closed = True
-            return
-        self._closed = True
-        # The ndarray view borrows the segment's buffer; drop it first
-        # so SharedMemory.close() does not complain about exports.
-        self.ndarray = np.array((), dtype=_I64)
-        self._segment.close()
-        if self._owner:
-            try:
-                self._segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segment = None
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        backing = f"shm:{self.name}" if self.shared else "heap"
-        return f"KernelPlane({backing}, length={self.length})"
-
-
-class KernelPlaneAllocator:
-    """Allocate named ``C``/``H`` plane pairs for a service's dense groups.
-
-    The coordinator owns one allocator per resident-backed service: it
-    creates uniquely named shared segments (``repro-<pid>-<seq>-g<id>-c``
-    etc.), hands the ndarray views into the coordinator's own
-    :class:`DenseHeadroomKernel` instances, publishes the names through
-    :class:`repro.service.shard.ShardSpec` so workers can attach, and
-    unlinks everything on :meth:`close`.  With ``shared=False`` it
-    degrades to plain heap planes -- the zero-cost path used when no
-    worker processes exist.
-    """
-
-    def __init__(self, shared: bool = True):
-        self._shared = shared
-        self._prefix = f"repro-{os.getpid()}-{next(_PLANE_SEQUENCE)}"
-        self._pairs: Dict[int, Tuple[KernelPlane, KernelPlane]] = {}
-        self._closed = False
-
-    @property
-    def shared(self) -> bool:
-        """Return whether pairs are backed by shared memory."""
-        return self._shared
-
-    def pair_for(
-        self, group_id: int, length: int
-    ) -> Tuple[KernelPlane, KernelPlane]:
-        """Create (once) and return the ``(C, H)`` planes for a group."""
-        if self._closed:
-            raise ValidationError("plane allocator is closed")
-        existing = self._pairs.get(group_id)
-        if existing is not None:
-            return existing
-        if self._shared:
-            pair = (
-                KernelPlane.create(f"{self._prefix}-g{group_id}-c", length),
-                KernelPlane.create(f"{self._prefix}-g{group_id}-h", length),
-            )
-        else:
-            pair = (KernelPlane.heap(length), KernelPlane.heap(length))
-        self._pairs[group_id] = pair
-        return pair
-
-    def names(self) -> Dict[int, Tuple[str, str]]:
-        """Return ``{group_id: (C_name, H_name)}`` for shared pairs
-        (empty when heap-backed -- nothing to attach to)."""
-        return {
-            group_id: (c.name, h.name)
-            for group_id, (c, h) in sorted(self._pairs.items())
-            if c.name is not None and h.name is not None
-        }
-
-    def close(self) -> None:
-        """Close and (as creator) unlink every allocated plane."""
-        if self._closed:
-            return
-        self._closed = True
-        for c_plane, h_plane in self._pairs.values():
-            c_plane.close()
-            h_plane.close()
 
 
 class DenseHeadroomKernel:
@@ -294,18 +132,12 @@ class DenseHeadroomKernel:
         self,
         aggregates: Sequence[int],
         max_n: int = DEFAULT_KERNEL_CAP,
-        planes: Optional[Tuple[KernelPlane, KernelPlane]] = None,
-        adopt: bool = False,
     ):
         if not aggregates:
             raise ValidationError("aggregate array must be non-empty")
         if any(a < 0 for a in aggregates):
             raise ValidationError(
                 f"aggregates must be non-negative: {list(aggregates)!r}"
-            )
-        if adopt and planes is None:
-            raise ValidationError(
-                "adopt=True requires externally allocated planes"
             )
         n = len(aggregates)
         cap = min(max_n, DENSE_TABLE_MAX_N)
@@ -320,37 +152,14 @@ class DenseHeadroomKernel:
         self._universe = self._size - 1
         #: RHS plane ``A⟨mask⟩`` (static): dense subset sums over the
         #: singleton aggregates, shared arithmetic with the zeta engine.
-        #: Always heap-local -- it never mutates, so every process can
-        #: rebuild it identically from the aggregates alone.
         self._rhs: NDArray[np.int64] = subset_sums_dense(
             {1 << j: int(aggregates[j]) for j in range(n)}, n
         )
-        self._counts: NDArray[np.int64]
-        self._head: NDArray[np.int64]
-        if planes is not None:
-            c_plane, h_plane = planes
-            if c_plane.length != self._size or h_plane.length != self._size:
-                raise ValidationError(
-                    f"plane length {c_plane.length}/{h_plane.length} does "
-                    f"not match dense table size {self._size} (N={n})"
-                )
-            #: LHS plane ``C⟨mask⟩`` and headroom plane ``H`` live in the
-            #: caller-allocated planes (possibly shared memory).  With
-            #: ``adopt=True`` the current contents ARE the live state --
-            #: the attach side of a resident worker whose coordinator
-            #: already replayed the preload log into the tables.
-            self._counts = c_plane.ndarray
-            self._head = h_plane.ndarray
-            if not adopt:
-                self._counts[:] = 0
-                self._head[:] = self._rhs
-                self._superset_min_inplace(self._head)
-        else:
-            #: LHS plane ``C⟨mask⟩`` (subset sums of the log, current).
-            self._counts = np.zeros(self._size, dtype=_I64)
-            #: Headroom plane ``H[mask] = min_{S ⊇ mask} (A⟨S⟩ - C⟨S⟩)``.
-            self._head = self._rhs.copy()
-            self._superset_min_inplace(self._head)
+        #: LHS plane ``C⟨mask⟩`` (subset sums of the log, current).
+        self._counts: NDArray[np.int64] = np.zeros(self._size, dtype=_I64)
+        #: Headroom plane ``H[mask] = min_{S ⊇ mask} (A⟨S⟩ - C⟨S⟩)``.
+        self._head: NDArray[np.int64] = self._rhs.copy()
+        self._superset_min_inplace(self._head)
         self._records = 0
         self._masks_touched_total = 0
         self._last_update_touched = 0
@@ -384,23 +193,6 @@ class DenseHeadroomKernel:
     def table_bytes(self) -> int:
         """Return the resident size of the three dense tables."""
         return dense_table_bytes(self._n, tables=3)
-
-    def occupancy(self) -> Dict[str, int]:
-        """Return live occupancy read straight off the planes.
-
-        ``min_slack`` is ``H[∅]`` (the global equation-slack minimum)
-        and ``total_count`` is ``C⟨universe⟩`` (every admitted count).
-        On shared planes this is the coordinator's zero-copy monitor
-        read: values may be torn mid-batch (monitoring only, never an
-        admission input -- see the class docstring of
-        :class:`KernelPlane`).
-        """
-        return {
-            "n": self._n,
-            "min_slack": int(self._head[0]),
-            "total_count": int(self._counts[self._universe]),
-            "table_bytes": self.table_bytes,
-        }
 
     def lhs(self, mask: int) -> int:
         """Return the current subset-sum ``C⟨mask⟩`` (equation LHS)."""

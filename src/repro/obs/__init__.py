@@ -11,7 +11,7 @@ counters, gauges, latency quantiles.  This package answers *why* and
   head-based sampling so heavy traffic can keep a representative slice;
 * :mod:`repro.obs.events` -- an append-only structured JSONL event log
   (admissions, rejections with reason codes, backpressure, cache
-  evictions, group epoch changes) with bounded-size rotation;
+  evictions) with bounded-size rotation;
 * :mod:`repro.obs.export` -- renderers: the
   :class:`repro.service.metrics.MetricsRegistry` to Prometheus text
   format or JSON, finished traces to JSONL / ASCII span trees /
@@ -50,7 +50,6 @@ from repro.obs.events import (
     EVENT_ALERT,
     EVENT_BACKPRESSURE,
     EVENT_CACHE_EVICTION,
-    EVENT_EPOCH_CHANGE,
     EVENT_REJECTION,
     EventLog,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "EVENT_ALERT",
     "EVENT_BACKPRESSURE",
     "EVENT_CACHE_EVICTION",
-    "EVENT_EPOCH_CHANGE",
     "EVENT_REJECTION",
     "AssembledTrace",
     "CountingInstrumentation",

@@ -11,7 +11,6 @@ decision:
   (``instance``/``equation``/``capacity``) *and* the human detail string;
 * ``backpressure`` -- a shard queue pushed back (shard id, depth);
 * ``cache_eviction`` -- the match cache dropped an entry;
-* ``epoch_change`` -- the pool's group partition changed (split/merge);
 * ``alert`` -- a monitor alert rule changed lifecycle state
   (``pending`` -> ``firing`` -> ``resolved``);
 * ``conn_open`` / ``conn_close`` -- a wire client connected to /
@@ -51,7 +50,6 @@ __all__ = [
     "EVENT_CONN_CLOSE",
     "EVENT_CONN_OPEN",
     "EVENT_DRAIN",
-    "EVENT_EPOCH_CHANGE",
     "EVENT_REJECTION",
     "EventLog",
 ]
@@ -60,7 +58,6 @@ EVENT_ADMISSION = "admission"
 EVENT_REJECTION = "rejection"
 EVENT_BACKPRESSURE = "backpressure"
 EVENT_CACHE_EVICTION = "cache_eviction"
-EVENT_EPOCH_CHANGE = "epoch_change"
 #: Alert lifecycle transition (rule, from_state, to_state, value, at)
 #: appended by :class:`repro.obs.monitor.Monitor`.
 EVENT_ALERT = "alert"
@@ -78,7 +75,6 @@ KNOWN_KINDS = (
     EVENT_REJECTION,
     EVENT_BACKPRESSURE,
     EVENT_CACHE_EVICTION,
-    EVENT_EPOCH_CHANGE,
     EVENT_ALERT,
     EVENT_CONN_OPEN,
     EVENT_CONN_CLOSE,

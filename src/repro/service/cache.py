@@ -7,12 +7,10 @@ Two cache kinds with very different lifetimes:
   are heavily repetitive at serving scale (popular content, popular
   regions), so identical boxes recur; the match set depends only on the
   box and the pool, never on the log, making memoization exact.
-* :class:`GroupTables` -- the derived lookup structures of one pool
-  epoch: the group partition, the ``{license -> group}`` map, per-group
-  masks and member tuples.  They are computed once per pool version and
-  shared read-only by every shard; :meth:`GroupTables.refresh` bumps the
-  epoch when the pool (and hence possibly the grouping) changes, which
-  also invalidates any match cache wired to the same epoch.
+* :class:`GroupTables` -- the derived lookup structures of the pool:
+  the group partition, the aggregates and the ``{license -> group}``
+  map.  A service's pool never changes, so they are computed once and
+  shared read-only by every shard.
 """
 
 from __future__ import annotations
@@ -97,10 +95,6 @@ class LRUCache(Generic[K, V]):
             if self._on_evict is not None:
                 self._on_evict(evicted_key, evicted_value)
 
-    def clear(self) -> None:
-        """Drop every entry (accounting is preserved)."""
-        self._data.clear()
-
     def __len__(self) -> int:
         return len(self._data)
 
@@ -166,52 +160,20 @@ class MatchCache:
         self._cache.put(key, result)
         return result
 
-    def invalidate(self) -> None:
-        """Drop all memoized match sets (pool changed)."""
-        if self._cache is not None:
-            self._cache.clear()
-
 
 class GroupTables:
-    """Derived group-lookup tables for one pool epoch.
-
-    Built once per pool version and shared read-only: the group
-    partition, the bulk ``{license index -> group id}`` map, per-group
-    bitmasks and sorted member tuples.  :meth:`refresh` recomputes
-    everything and bumps :attr:`epoch` so dependent caches know their
-    entries are stale.
-    """
+    """Derived group-lookup tables of one pool, built once and shared
+    read-only: the group partition, the aggregates, and the bulk
+    ``{license index -> group id}`` map."""
 
     def __init__(self, pool: LicensePool):
-        self._pool = pool
-        self.epoch = 0
-        #: Optional ``callback(old_group_count, new_group_count, epoch)``
-        #: invoked after :meth:`refresh` -- the hook the observability
-        #: layer uses to journal group split/merge events.
-        self.on_refresh: Optional[Callable[[int, int, int], None]] = None
-        self._build()
-
-    def _build(self) -> None:
         self.structure: GroupStructure = form_groups(
-            OverlapGraph.from_boxes(self._pool.boxes())
+            OverlapGraph.from_boxes(pool.boxes())
         )
-        self.aggregates = self._pool.aggregate_array()
+        self.aggregates = pool.aggregate_array()
         self.group_of: Dict[int, int] = self.structure.group_lookup()
-        self.masks: Tuple[int, ...] = self.structure.masks()
-        self.members: Tuple[Tuple[int, ...], ...] = tuple(
-            self.structure.sorted_members(k) for k in range(self.structure.count)
-        )
 
     @property
     def group_count(self) -> int:
         """Return the number of disconnected groups."""
         return self.structure.count
-
-    def refresh(self) -> int:
-        """Recompute all tables from the pool; return the new epoch."""
-        old_count = self.group_count
-        self._build()
-        self.epoch += 1
-        if self.on_refresh is not None:
-            self.on_refresh(old_count, self.group_count, self.epoch)
-        return self.epoch

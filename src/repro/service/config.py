@@ -42,8 +42,10 @@ class ServiceConfig:
     executor:
         ``"serial"`` (the default: drains run in the caller, zero
         overhead) or ``"resident"`` (long-lived worker processes that
-        own their shards' state -- O(batch) IPC per drain,
-        shared-memory kernel planes for coordinator reads).  A wire
+        own their shards' state, trees and dense tables alike -- only
+        pending batches and verdicts cross the pipes, O(batch) IPC per
+        drain).  A failed resident executor refuses every later
+        request with :class:`repro.errors.ServiceError`.  A wire
         server drains both on its event loop: a serial drain as plain
         CPU work, a resident one by awaiting the worker pipes that
         :meth:`~repro.service.ValidationService.dispatch` returns.

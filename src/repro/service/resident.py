@@ -1,24 +1,22 @@
-"""Resident shard workers: zero-copy process parallelism for drains.
+"""Resident shard workers: each worker process owns its shards' state.
 
 The ``resident`` executor backend moves shard state into worker
 processes once, at startup, so that a drain costs O(batch) IPC, not
-O(state) -- the dense kernel's ``C``/``H`` int64 tables alone reach
-``2 x 8 MiB`` per group at ``kernel_cap=20``:
+O(state) -- a dense group's mutable ``C``/``H`` int64 tables alone
+reach 16 MiB at ``kernel_cap=20``, and none of it crosses a process
+boundary:
 
 * Each long-lived worker process permanently owns a fixed set of
   shards, rebuilt in-worker once at startup from a
   :class:`~repro.service.shard.ShardSpec` (small, static: group
-  structure + aggregates + preload log + shared-plane names).
+  structure + aggregates + preload log).  Tree and dense groups alike
+  are built from the aggregates and replay their preloads in the
+  worker's own heap.
 * A drain ships only the pending :class:`ShardRequest` batches, encoded
   as compact tuples over a per-worker pipe, and gets back
   :class:`ShardResult` rows plus :class:`ShardStats` -- per-drain IPC
   is O(batch size) regardless of group size (the benchmark's
   ``bytes_shipped_per_drain`` counter pins this).
-* Dense-kernel groups sit on coordinator-created
-  ``multiprocessing.shared_memory`` planes
-  (:class:`repro.core.kernel.KernelPlane`): the owning worker writes
-  them, the coordinator reads kernel occupancy zero-copy for
-  admin/monitor queries -- no worker round-trip.
 
 Ownership and ordering contract (see DESIGN.md "Serving architecture"):
 
@@ -37,12 +35,9 @@ Ownership and ordering contract (see DESIGN.md "Serving architecture"):
   executor failed -- the erroring worker's state can no longer be
   trusted -- and raises :class:`~repro.errors.ServiceError` carrying the
   worker traceback.
-* Shutdown: workers close (never unlink) their attached planes and
-  exit on the ``close`` message, or on end-of-file once the
-  coordinator's ends of their pipes are closed (each worker first
-  closes the copies of those ends it inherited); the coordinator joins
-  them *before* the service unlinks the shared segments, so no worker
-  ever maps a vanished name.
+* Shutdown: workers exit on the ``close`` message, or on end-of-file
+  once the coordinator's ends of their pipes are closed (each worker
+  first closes the copies of those ends it inherited).
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ import threading
 import traceback
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import Connection
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
 from repro.service.executor import DrainOutput
@@ -185,11 +180,10 @@ def _worker_main(
     """Message loop of one resident worker process.
 
     Closes the coordinator's pipe ends it inherited, rebuilds its shards
-    from the specs (attaching to shared kernel planes where named),
-    acknowledges readiness, then serves drains until the ``close``
-    message or a dropped pipe.  Every reply is one pickled tuple; errors
-    travel back as ``("error", traceback)`` so the coordinator can raise
-    them as :class:`ServiceError`.
+    from the specs, acknowledges readiness, then serves drains until the
+    ``close`` message or a dropped pipe.  Every reply is one pickled
+    tuple; errors travel back as ``("error", traceback)`` so the
+    coordinator can raise them as :class:`ServiceError`.
     """
     # A forked worker holds copies of the coordinator's end of its own
     # pipe and of every earlier worker's; while any copy is open, that
@@ -245,8 +239,6 @@ def _worker_main(
                 )
             )
     finally:
-        for shard in shards.values():
-            shard.close_planes()
         conn.close()
 
 
@@ -261,18 +253,22 @@ class ResidentProcessExecutor:
     O(config + preload log), never live kernel tables) and blocks until
     every worker acknowledges readiness.  Thereafter
     :meth:`dispatch` and :meth:`drain` move only pending batches and
-    verdicts.
+    verdicts.  ``on_fail``, when given, is called once, when a drain
+    fails and the executor stops accepting work.
 
     The coordinator's ``shards`` list keeps its *original* (stale)
     shard objects: queue management still happens there, but equation
-    state advances only inside the owning worker.  A service using this
-    backend therefore reads group/kernel state through the shared
-    planes, not through its local slices.
+    state advances only inside the owning worker.
     """
 
     name = "resident"
 
-    def __init__(self, specs: Sequence[ShardSpec], max_workers: int):
+    def __init__(
+        self,
+        specs: Sequence[ShardSpec],
+        max_workers: int,
+        on_fail: Optional[Callable[[], None]] = None,
+    ):
         if max_workers < 1:
             raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
         if not specs:
@@ -293,6 +289,7 @@ class ResidentProcessExecutor:
         self._procs: List[Process] = []
         self._failed = False
         self._closed = False
+        self._on_fail = on_fail
         #: Batches sent and not yet collected, one ``(worker, [(shard,
         #: taken requests)])`` entry per message, in send order (a worker
         #: answers its messages in the order it received them).
@@ -448,6 +445,8 @@ class ResidentProcessExecutor:
         message first so each queue regains its original order, and
         refuse further drains; the caller holds the lock."""
         self._failed = True
+        if self._on_fail is not None:
+            self._on_fail()
         for _worker, sections in reversed(self._in_flight):
             for shard, rows in sections:
                 shard.requeue(rows)
@@ -456,8 +455,7 @@ class ResidentProcessExecutor:
 
     def close(self) -> None:
         """Stop every worker: polite ``close`` message, join, then
-        terminate stragglers.  Safe to call repeatedly; must run before
-        the plane allocator unlinks the shared segments."""
+        terminate stragglers.  Safe to call repeatedly."""
         with self._lock:
             if self._closed:
                 return

@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ServiceError, ServiceOverloadedError, ValidationError
 from repro.core.incremental import GroupSlice
-from repro.core.kernel import KERNEL_DENSE, KernelPlane, KernelPlaneAllocator
 from repro.licenses.license import UsageLicense
 from repro.licenses.pool import LicensePool
 from repro.logstore.log import ValidationLog
@@ -55,7 +54,6 @@ from repro.obs.events import (
     EVENT_ADMISSION,
     EVENT_BACKPRESSURE,
     EVENT_CACHE_EVICTION,
-    EVENT_EPOCH_CHANGE,
     EVENT_REJECTION,
     EventLog,
 )
@@ -108,8 +106,8 @@ class ValidationService:
         streams are byte-identical with it on or off.
     events:
         Optional :class:`repro.obs.events.EventLog` receiving the
-        structured admission/rejection/backpressure/cache-eviction/
-        epoch-change journal.
+        structured admission/rejection/backpressure/cache-eviction
+        journal.
     monitor:
         Optional :class:`repro.obs.monitor.Monitor`.  When given, it is
         attached to this service's registry at construction and ticked
@@ -138,8 +136,6 @@ class ValidationService:
         self.events = events
         self._pool = pool
         self._tables = GroupTables(pool)
-        if events is not None:
-            self._tables.on_refresh = self._on_epoch_change
         self._matcher = MatchCache(
             IndexedMatcher(pool),
             self.config.match_cache_size,
@@ -163,22 +159,17 @@ class ValidationService:
         self._dispatched: Optional[Span | _NullSpan] = None
         self._pending_outcomes: Dict[int, IssuanceOutcome] = {}
         self._log = ValidationLog()
-        self._closed = False
+        #: Why submits, dispatches and drains are refused; empty while
+        #: serving.  Set by :meth:`close` and by a failed executor.
+        self._refusal = ""
         self._executor: SerialExecutor | ResidentProcessExecutor = SerialExecutor()
         self.monitor = monitor
-        # Resident backend + dense kernel: back each eligible group's
-        # C/H tables with coordinator-owned shared-memory planes.  The
-        # coordinator's own slices get the *create*-mode views (its
-        # reads are zero-copy); workers attach by name via ShardSpec.
-        self._plane_allocator: Optional[KernelPlaneAllocator] = None
-        if self.config.executor == "resident" and self.config.kernel == KERNEL_DENSE:
-            self._plane_allocator = KernelPlaneAllocator(shared=True)
         try:
             self._build_shards(initial_log)
             if monitor is not None:
                 monitor.attach(self)
         except BaseException:
-            # Nothing else owns the workers or the shared segments yet.
+            # Nothing else owns the workers yet.
             self.close()
             raise
 
@@ -188,20 +179,12 @@ class ValidationService:
             shard_id: {} for shard_id in range(self._shard_count)
         }
         for group_id in range(self._tables.group_count):
-            planes: Optional[Tuple[KernelPlane, KernelPlane]] = None
-            if self._plane_allocator is not None:
-                group_size = len(self._tables.structure.groups[group_id])
-                if group_size <= self.config.kernel_cap:
-                    planes = self._plane_allocator.pair_for(
-                        group_id, 1 << group_size
-                    )
             slices_by_shard[group_id % self._shard_count][group_id] = GroupSlice(
                 self._tables.structure,
                 self._tables.aggregates,
                 group_id,
                 kernel=self.config.kernel,
                 kernel_cap=self.config.kernel_cap,
-                planes=planes,
             )
         self._shards: List[GroupShard] = [
             GroupShard(
@@ -219,12 +202,14 @@ class ValidationService:
         }
         # Replay BEFORE spawning any executor workers: resident workers
         # rebuild shard state from the specs, which must carry the full
-        # preload log (and the shared planes must already hold it).
+        # preload log.
         if initial_log is not None:
             self._replay(initial_log)
         if self.config.executor == "resident":
             self._executor = ResidentProcessExecutor(
-                self._build_specs(), self.config.workers or self._shard_count
+                self._build_specs(),
+                self.config.workers or self._shard_count,
+                on_fail=self._refuse_after_failure,
             )
 
     # ------------------------------------------------------------------
@@ -275,23 +260,6 @@ class ValidationService:
         """Return the executor backend running the drains."""
         return self._executor.name
 
-    def kernel_occupancy(self) -> Dict[int, Dict[str, int]]:
-        """Return ``{group_id: occupancy}`` for every dense-kernel group.
-
-        Under the resident backend the coordinator's slices view the
-        workers' live ``C``/``H`` tables through shared-memory planes,
-        so this is a **zero-copy** read -- no worker round-trip, no
-        drain required.  Values may be torn mid-batch; they feed
-        monitoring, never admission.  Tree-only configs return ``{}``.
-        """
-        occupancy: Dict[int, Dict[str, int]] = {}
-        for shard in self._shards:
-            for gslice in shard.slices():
-                occ = gslice.kernel_occupancy()
-                if occ is not None:
-                    occupancy[gslice.group_id] = occ
-        return occupancy
-
     # ------------------------------------------------------------------
     # Per-request phase timings
     # ------------------------------------------------------------------
@@ -332,18 +300,20 @@ class ValidationService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release executor resources.  Submitting afterwards raises.
+        """Release executor resources (safe to repeat).  Submitting
+        afterwards raises."""
+        self._executor.close()
+        self._refusal = "service is closed"
 
-        Ordering matters for the resident backend: workers are joined
-        *first* (they close their plane attachments on exit), and only
-        then does the coordinator unlink the shared-memory segments --
-        no worker ever maps a vanished name.
+    def _refuse_after_failure(self) -> None:
+        """Refuse all further work once the resident executor failed.
+
+        Its workers' state may have diverged, so no later drain could
+        serve a queued request; refusing at submit answers each caller
+        at once, instead of filling the queue until submits read as the
+        retryable overload.
         """
-        if not self._closed:
-            self._executor.close()
-            if self._plane_allocator is not None:
-                self._plane_allocator.close()
-            self._closed = True
+        self._refusal = "resident executor failed; restart the service"
 
     def __enter__(self) -> "ValidationService":
         return self
@@ -377,9 +347,12 @@ class ValidationService:
             When the target shard's queue is full.  The request is NOT
             recorded; the caller should drain and resubmit (which
             :meth:`process` automates).
+        ServiceError
+            When the service is closed, or its executor failed: no later
+            drain could serve the request, so retrying cannot help.
         """
-        if self._closed:
-            raise ServiceError("service is closed")
+        if self._refusal:
+            raise ServiceError(self._refusal)
         tracer = self.tracer
         span = (
             tracer.start_span(
@@ -475,8 +448,8 @@ class ValidationService:
         :meth:`drain`.  Calling :meth:`drain` without a dispatch does
         both halves.
         """
-        if self._closed:
-            raise ServiceError("service is closed")
+        if self._refusal:
+            raise ServiceError(self._refusal)
         busy = [shard for shard in self._shards if shard.depth]
         if busy and self._dispatched is None:
             self._dispatched = self._start_drain_span()
@@ -553,8 +526,8 @@ class ValidationService:
     def _drain_completed(self) -> List[Tuple[int, IssuanceOutcome]]:
         """Run busy shards, then hand out ``(seq, outcome)`` pairs sorted
         by sequence number, clearing the completion buffer."""
-        if self._closed:
-            raise ServiceError("service is closed")
+        if self._refusal:
+            raise ServiceError(self._refusal)
         busy = [shard for shard in self._shards if shard.depth]
         drain_span, self._dispatched = self._dispatched, None
         if busy or drain_span is not None:
@@ -631,14 +604,8 @@ class ValidationService:
         """Build one :class:`ShardSpec` per shard for resident workers.
 
         Specs are O(config + preload log): group structure, aggregates,
-        replayed records, and -- for plane-backed dense groups -- the
-        shared-memory names to attach to instead of replaying.
+        and replayed records.
         """
-        plane_names = (
-            self._plane_allocator.names()
-            if self._plane_allocator is not None
-            else {}
-        )
         return [
             ShardSpec(
                 shard_id=shard.shard_id,
@@ -650,11 +617,6 @@ class ValidationService:
                 structure=self._tables.structure,
                 aggregates=tuple(self._tables.aggregates),
                 preloads=shard.preloads,
-                plane_names={
-                    group_id: names
-                    for group_id, names in plane_names.items()
-                    if group_id in shard.group_ids
-                },
             )
             for shard in self._shards
         ]
@@ -850,21 +812,4 @@ class ValidationService:
             EVENT_CACHE_EVICTION,
             cache="match",
             content_id=key[0] if key else None,
-        )
-
-    def _on_epoch_change(self, old_groups: int, new_groups: int, epoch: int) -> None:
-        change = (
-            "split" if new_groups > old_groups
-            else "merge" if new_groups < old_groups
-            else "none"
-        )
-        events = self.events
-        if events is None:  # pragma: no cover - hook registered iff events
-            return
-        events.emit(
-            EVENT_EPOCH_CHANGE,
-            epoch=epoch,
-            old_groups=old_groups,
-            new_groups=new_groups,
-            change=change,
         )

@@ -22,12 +22,12 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Sequence, Tuple
 
 from repro.errors import ServiceError, ServiceOverloadedError
 from repro.core.grouping import GroupStructure
 from repro.core.incremental import GroupSlice
-from repro.core.kernel import KERNEL_DENSE, KernelPlane
+from repro.core.kernel import KERNEL_DENSE
 
 __all__ = [
     "GroupShard",
@@ -113,14 +113,11 @@ class ShardSpec:
     """Everything a worker process needs to rebuild one shard in place.
 
     The resident executor ships a spec **once** at startup instead of
-    pickling live shard state per drain: the worker reconstructs the
-    shard's :class:`~repro.core.incremental.GroupSlice` objects from the
-    (small, static) group structure + aggregates, then replays
-    ``preloads`` -- except for groups listed in ``plane_names``, whose
-    dense ``C``/``H`` tables live in coordinator-created shared memory
-    that already holds the replayed state; the worker *attaches* and
-    adopts those tables as-is (``adopt_planes=True``), so state is never
-    shipped twice in any form.
+    pickling live shard state per drain: the worker builds the shard's
+    :class:`~repro.core.incremental.GroupSlice` objects -- trees and
+    dense tables alike -- from the (small, static) group structure +
+    aggregates, then replays ``preloads`` into them.  The worker is
+    then the only owner of that state; only pipes cross processes.
     """
 
     shard_id: int
@@ -131,12 +128,8 @@ class ShardSpec:
     kernel_cap: int
     structure: GroupStructure
     aggregates: Tuple[int, ...]
-    #: Already-admitted records ``(group_id, members, count)`` to replay
-    #: into tree/fallback groups (plane-backed groups skip these).
+    #: Already-admitted records ``(group_id, members, count)`` to replay.
     preloads: Tuple[Tuple[int, Tuple[int, ...], int], ...]
-    #: ``{group_id: (C_name, H_name)}`` shared-memory plane names for the
-    #: dense groups the coordinator allocated; empty when planes are off.
-    plane_names: Dict[int, Tuple[str, str]]
 
 
 class GroupShard:
@@ -162,54 +155,29 @@ class GroupShard:
         #: carry them to a worker (coordinator side only; workers never
         #: re-record the preloads they replay).
         self._preloads: List[Tuple[int, Tuple[int, ...], int]] = []
-        #: Shared planes this shard attached to (worker side only),
-        #: closed -- never unlinked -- on worker shutdown.
-        self._attached_planes: List[KernelPlane] = []
 
     @classmethod
     def from_spec(cls, spec: ShardSpec) -> "GroupShard":
         """Rebuild a shard inside a worker process from its spec.
 
-        Groups named in ``spec.plane_names`` get slices whose dense
-        kernels *attach* to the coordinator's shared ``C``/``H`` planes
-        and adopt their live contents (the coordinator already replayed
-        the preload log into them); all other groups are rebuilt from
-        the aggregates and replay their preloads locally.  Either way
-        the resulting equation state is byte-identical to the
-        coordinator's at spec time.
+        Every group's slice is built from the aggregates and the spec's
+        preloads are replayed into it, so the resulting equation state
+        is byte-identical to the coordinator's at spec time.
         """
-        slices: Dict[int, GroupSlice] = {}
-        attached: List[KernelPlane] = []
-        plane_groups = set()
-        for group_id in spec.group_ids:
-            planes: Optional[Tuple[KernelPlane, KernelPlane]] = None
-            names = spec.plane_names.get(group_id)
-            if names is not None:
-                length = 1 << len(
-                    spec.structure.groups[group_id]
-                )
-                planes = (
-                    KernelPlane.attach(names[0], length),
-                    KernelPlane.attach(names[1], length),
-                )
-                attached.extend(planes)
-                plane_groups.add(group_id)
-            slices[group_id] = GroupSlice(
+        slices = {
+            group_id: GroupSlice(
                 spec.structure,
                 list(spec.aggregates),
                 group_id,
                 kernel=spec.kernel,
                 kernel_cap=spec.kernel_cap,
-                planes=planes,
-                adopt_planes=planes is not None,
             )
+            for group_id in spec.group_ids
+        }
         shard = cls(
             spec.shard_id, slices, spec.batch_size, spec.queue_capacity
         )
-        shard._attached_planes = attached
         for group_id, members, count in spec.preloads:
-            if group_id in plane_groups:
-                continue  # state already lives in the adopted planes
             shard.preload(group_id, members, count)
         # Replayed records are the coordinator's provenance, not this
         # worker's; keep the worker-side list empty.
@@ -228,13 +196,6 @@ class GroupShard:
     def group_ids(self) -> Tuple[int, ...]:
         """Return the 0-based group ids assigned to this shard."""
         return tuple(sorted(self._slices))
-
-    def slices(self) -> Tuple[GroupSlice, ...]:
-        """Return this shard's group slices, ascending group id (shared,
-        mutable -- read-only use outside the processing loop)."""
-        return tuple(
-            self._slices[group_id] for group_id in sorted(self._slices)
-        )
 
     def enqueue(self, request: ShardRequest) -> None:
         """Queue a request, enforcing the bounded-queue backpressure.
@@ -290,13 +251,6 @@ class GroupShard:
         """Return replayed records recorded by :meth:`preload` (the
         coordinator reads these when building a :class:`ShardSpec`)."""
         return tuple(self._preloads)
-
-    def close_planes(self) -> None:
-        """Close (never unlink) shared planes this shard attached to --
-        the worker half of the plane lifecycle discipline."""
-        for plane in self._attached_planes:
-            plane.close()
-        self._attached_planes = []
 
     # ------------------------------------------------------------------
     # Processing (runs inside the executor worker)

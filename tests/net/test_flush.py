@@ -236,3 +236,38 @@ def test_worker_death_answers_each_request_internal(workload, slow_drains, when)
         assert "'internal'" in str(result)
     assert answer_s < SLOW_S
     assert served == 0
+
+
+def test_dead_worker_answers_internal_never_overloaded(workload):
+    """A service whose executor failed refuses each later request with
+    ``internal``: its shard queue never fills up into ``overloaded``,
+    which would tell a retrying client to back off and try again."""
+    pool, stream = workload
+    usages = routed_to_shard0(pool, stream, 20)
+    config = ServiceConfig(shards=1, executor="resident", queue_capacity=8)
+
+    async def scenario():
+        service, server, host, port = await _serve(pool, config)
+        worker = service._executor._procs[0]
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(5.0)
+        try:
+            client = AdmissionClient(host, port, retries=0)
+            await client.connect()
+            errors = []
+            for usage in usages:
+                with pytest.raises(TransportError) as raised:
+                    await client.request(usage)
+                errors.append(str(raised.value))
+            assert server.in_flight == 0
+            await client.close()
+            await asyncio.wait_for(server.shutdown(), 5.0)
+        finally:
+            service.close()
+        return errors, server.metrics.counter("wire_requests_total")
+
+    errors, requests = run(scenario())
+    assert len(errors) == 20
+    assert all("'internal'" in error for error in errors)
+    assert requests.value(("overloaded",)) == 0
+    assert requests.value(("internal",)) == 20

@@ -9,7 +9,7 @@ The acceptance properties of the observability layer:
 * the ``equations_checked`` span attributes are *accounting*, not
   decoration: they sum to exactly the run's ``equations_checked_total``;
 * the event journal captures every admission/rejection plus the
-  operational transitions (backpressure, cache eviction, epoch change);
+  operational transitions (backpressure, cache eviction);
 * every timing view is read from the same per-request clock stamps: a
   request's ``ServerTiming`` phases equal its span durations.
 """

@@ -1,22 +1,22 @@
-"""Resident worker executor: ownership, wire format, plane lifecycle.
+"""Resident worker executor: ownership, wire format, failure, shutdown.
 
 The resident backend's contract (see :mod:`repro.service.resident`):
-workers permanently own shard state, drains ship only O(batch) request
-tuples and verdicts, the coordinator reads dense-kernel occupancy
-zero-copy through shared-memory planes, and shutdown joins workers
-before the coordinator unlinks the segments.
+workers permanently own shard state -- tree and dense groups alike,
+rebuilt from their specs -- drains ship only O(batch) request tuples
+and verdicts, a failed executor refuses further work, and shutdown
+stops every worker.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import pickle
+import signal
 import time
 
 import pytest
-from multiprocessing import shared_memory
 
-from repro.errors import GroupingError, ServiceError
-from repro.core.kernel import KernelPlane
+from repro.errors import GroupingError, ServiceError, ServiceOverloadedError
 from repro.logstore.log import ValidationLog
 from repro.service import ServiceConfig, ValidationService
 from repro.service.resident import (
@@ -60,30 +60,10 @@ def signatures(outcomes):
     ]
 
 
-def poison_planes(spec):
-    """Return ``spec`` with every C-plane name pointing at no segment,
-    so the worker's attach fails at startup."""
-    return type(spec)(
-        shard_id=spec.shard_id,
-        group_ids=spec.group_ids,
-        batch_size=spec.batch_size,
-        queue_capacity=spec.queue_capacity,
-        kernel=spec.kernel,
-        kernel_cap=spec.kernel_cap,
-        structure=spec.structure,
-        aggregates=spec.aggregates,
-        preloads=spec.preloads,
-        plane_names={
-            group_id: (f"repro-missing-{os.getpid()}-c", names[1])
-            for group_id, names in spec.plane_names.items()
-        },
-    )
-
-
-def own_segments():
-    """Shared-memory names this process created and has not unlinked."""
-    prefix = f"repro-{os.getpid()}-"
-    return {name for name in os.listdir("/dev/shm") if name.startswith(prefix)}
+def poison(spec):
+    """Return ``spec`` naming a group that does not exist, so the
+    worker's rebuild fails at startup."""
+    return dataclasses.replace(spec, group_ids=spec.group_ids + (10_000,))
 
 
 class TestWireFormat:
@@ -179,30 +159,11 @@ class TestResidentService:
             # Never more workers than shards: an idle worker owns nothing.
             assert service._executor.workers == service.shard_count
 
-    def test_occupancy_reads_worker_state_zero_copy(self, workload):
-        """The coordinator never processes a request itself under the
-        resident backend, yet its occupancy view advances: the workers
-        write the shared planes the coordinator's kernels read."""
-        pool, stream = workload
-        config = ServiceConfig(shards=4, kernel="dense", executor="resident")
-        with ValidationService(pool, config) as service:
-            before = service.kernel_occupancy()
-            assert before, "dense config must expose occupancy"
-            assert all(occ["total_count"] == 0 for occ in before.values())
-            outcomes = service.process(stream)
-            accepted_counts = sum(
-                o.count for o in outcomes if o.accepted
-            )
-            after = service.kernel_occupancy()
-            assert (
-                sum(occ["total_count"] for occ in after.values())
-                == accepted_counts
-            )
-
     def test_replayed_log_reaches_workers(self, workload):
         """Warm restart: state replayed into the coordinator before the
-        workers spawn must shape worker verdicts (shipped via specs for
-        tree groups, via adopted planes for dense ones)."""
+        workers spawn must shape worker verdicts (the specs carry the
+        preloads, which each worker replays into its trees and dense
+        tables alike)."""
         pool, stream = workload
         head, tail = list(stream[:80]), list(stream[80:])
         for kernel in ("tree", "dense"):
@@ -224,24 +185,16 @@ class TestResidentService:
                 actual = signatures(warm.process(tail))
             assert actual == expected, kernel
 
-    def test_close_unlinks_planes_and_stops_workers(self, workload):
+    def test_close_stops_workers(self, workload):
         pool, stream = workload
         config = ServiceConfig(shards=2, kernel="dense", executor="resident")
         service = ValidationService(pool, config)
         service.process(stream[:40])
-        allocator = service._plane_allocator
-        assert allocator is not None
-        names = [
-            name for pair in allocator.names().values() for name in pair
-        ]
-        assert names, "dense resident service must allocate shared planes"
         procs = list(service._executor._procs)
         assert all(proc.is_alive() for proc in procs)
         service.close()
         assert all(not proc.is_alive() for proc in procs)
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        service.close()  # idempotent
 
     def test_drains_ship_batches_not_state(self, workload):
         """The O(batch) property: per-drain IPC bytes do not grow with
@@ -322,6 +275,31 @@ class TestResidentService:
             with pytest.raises(ServiceError):
                 executor.drain([])
 
+    def test_failed_executor_refuses_submits_never_overloaded(self, workload):
+        """After a worker dies, every later submit is refused with a
+        plain ServiceError: the queue of a service that can no longer
+        drain never fills up into the retryable overload."""
+        pool, stream = workload
+        config = ServiceConfig(shards=1, executor="resident", queue_capacity=8)
+        with ValidationService(pool, config) as service:
+            routable = [u for u in stream if service._matcher.match(u)]
+            worker = service._executor._procs[0]
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(5.0)
+            errors = []
+            for usage in routable[:20]:
+                with pytest.raises(ServiceError) as raised:
+                    service.submit(usage)
+                    service.drain()
+                errors.append(raised.value)
+            assert not any(
+                isinstance(error, ServiceOverloadedError) for error in errors
+            )
+            # The first request was taken by the failed drain and
+            # requeued; every later one was refused at submit.
+            assert service.pending == 1
+            assert all("restart the service" in str(e) for e in errors[1:])
+
     def test_failed_drain_requeues_a_dispatched_batch_in_order(self, workload):
         """A batch already in the workers is requeued too, ahead of the
         requests submitted after it was dispatched."""
@@ -398,83 +376,43 @@ class TestResidentService:
         service = ValidationService(pool, config)
         try:
             specs = service._build_specs()
-            poisoned = poison_planes(specs[0])
-            # The worker's attach must fail and the constructor must
+            children = set(multiprocessing.active_children())
+            # The worker's rebuild must fail and the constructor must
             # surface the worker traceback, not hang.
-            if poisoned.plane_names:
-                children = set(multiprocessing.active_children())
-                with pytest.raises(ServiceError):
-                    ResidentProcessExecutor([poisoned, specs[1]], 2)
-                # The healthy worker was stopped, not left serving.
-                assert set(multiprocessing.active_children()) == children
+            with pytest.raises(ServiceError, match="failed to start"):
+                ResidentProcessExecutor([poison(specs[0]), specs[1]], 2)
+            # The healthy worker was stopped, not left serving.
+            assert set(multiprocessing.active_children()) == children
         finally:
             service.close()
 
 
-@pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
-)
 class TestFailedConstruction:
-    """A constructor that raises after allocating shared planes must
-    release them, and stop any worker it started, before re-raising."""
+    """A constructor that raises must stop any worker it started before
+    re-raising."""
 
-    def test_failed_replay_leaves_no_segments(self):
+    def test_failed_replay_starts_no_worker(self):
         log = ValidationLog()
         log.record({1, 2, 3, 4, 5}, 1, "spans-two-groups")
         config = ServiceConfig(shards=2, executor="resident", kernel="dense")
-        before = own_segments()
+        children = set(multiprocessing.active_children())
         with pytest.raises(GroupingError):
             ValidationService(example1().pool, config, initial_log=log)
-        assert own_segments() == before
+        assert set(multiprocessing.active_children()) == children
 
-    def test_failed_worker_startup_leaves_no_segments(
+    def test_failed_worker_startup_stops_every_worker(
         self, workload, monkeypatch
     ):
         pool, _stream = workload
         build_specs = ValidationService._build_specs
-        monkeypatch.setattr(
-            ValidationService,
-            "_build_specs",
-            lambda service: [poison_planes(s) for s in build_specs(service)],
-        )
+
+        def poison_first(service):
+            specs = build_specs(service)
+            return [poison(specs[0]), *specs[1:]]
+
+        monkeypatch.setattr(ValidationService, "_build_specs", poison_first)
         config = ServiceConfig(shards=2, executor="resident", kernel="dense")
-        before = own_segments()
         children = set(multiprocessing.active_children())
-        with pytest.raises(ServiceError):
+        with pytest.raises(ServiceError, match="failed to start"):
             ValidationService(pool, config)
-        assert own_segments() == before
         assert set(multiprocessing.active_children()) == children
-
-
-class TestHeapPlaneFallback:
-    def test_non_resident_dense_services_use_heap_tables(self, workload):
-        """Workers off -> no shared segments: the plain-heap fallback."""
-        pool, stream = workload
-        config = ServiceConfig(shards=2, kernel="dense")
-        with ValidationService(pool, config) as service:
-            assert service._plane_allocator is None
-            service.process(stream[:40])
-            assert service.kernel_occupancy(), (
-                "occupancy must work on heap-backed kernels too"
-            )
-
-    def test_heap_allocator_names_empty(self):
-        from repro.core.kernel import KernelPlaneAllocator
-
-        allocator = KernelPlaneAllocator(shared=False)
-        pair = allocator.pair_for(0, 16)
-        assert not pair[0].shared and not pair[1].shared
-        assert allocator.names() == {}
-        allocator.close()
-
-    def test_attach_close_never_unlinks(self):
-        plane = KernelPlane.create(f"repro-test-{os.getpid()}", 8)
-        attached = KernelPlane.attach(plane.name, 8)
-        attached.ndarray[3] = 42
-        assert plane.ndarray[3] == 42
-        attached.close()
-        # Attacher closed, creator still maps the segment.
-        assert plane.ndarray[3] == 42
-        plane.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=plane.name)
