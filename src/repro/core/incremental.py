@@ -47,12 +47,26 @@ from repro.validation.tree_validator import TreeValidator
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     from repro.obs.instrument import Instrumentation
 
-__all__ = ["GroupSlice", "IncrementalValidator"]
+__all__ = ["GroupSlice", "IncrementalValidator", "active_kernel"]
 
 #: Most headroom answers one tree-path slice memoizes between inserts.
 #: Without a bound, varied rejected traffic on a large group would add
 #: one entry per distinct set, up to ``2^{N_k} - 1``.
 HEADROOM_MEMO_LIMIT = 4096
+
+
+def active_kernel(kernel: str, size: int, kernel_cap: int) -> str:
+    """Return the engine a group of ``size`` licenses runs when ``kernel``
+    is requested: dense iff ``kernel == "dense"`` and ``size <=
+    kernel_cap``, else the tree walk.  Unknown names raise
+    :class:`~repro.errors.ValidationError`."""
+    if kernel not in KERNEL_NAMES:
+        raise ValidationError(
+            f"unknown kernel {kernel!r}; choose from {', '.join(KERNEL_NAMES)}"
+        )
+    if kernel == KERNEL_DENSE and size <= kernel_cap:
+        return KERNEL_DENSE
+    return KERNEL_TREE
 
 
 class GroupSlice:
@@ -110,11 +124,6 @@ class GroupSlice:
         kernel: str = KERNEL_TREE,
         kernel_cap: int = DEFAULT_KERNEL_CAP,
     ):
-        if kernel not in KERNEL_NAMES:
-            raise ValidationError(
-                f"unknown kernel {kernel!r}; choose from "
-                f"{', '.join(KERNEL_NAMES)}"
-            )
         self.group_id = group_id
         self._structure = structure
         self._position: Dict[int, int] = position_array(structure, group_id)
@@ -125,7 +134,7 @@ class GroupSlice:
         self._validator: Optional[TreeValidator] = None
         self._tree: Optional[ValidationTree] = None
         self._memo: Dict[int, int] = {}
-        if kernel == KERNEL_DENSE and len(self._local_aggregates) <= kernel_cap:
+        if active_kernel(kernel, self.size, kernel_cap) == KERNEL_DENSE:
             self._kernel = DenseHeadroomKernel(
                 self._local_aggregates, max_n=kernel_cap
             )

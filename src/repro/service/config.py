@@ -40,11 +40,13 @@ class ServiceConfig:
         raises :class:`repro.errors.ServiceOverloadedError` -- explicit
         backpressure instead of unbounded memory growth.
     executor:
-        ``"serial"`` (the default: drains run in the caller, zero
-        overhead) or ``"resident"`` (long-lived worker processes that
-        own their shards' state, trees and dense tables alike -- only
-        pending batches and verdicts cross the pipes, O(batch) IPC per
-        drain).  A failed resident executor refuses every later
+        Who builds and owns the shards' equation state, and where
+        drains run: ``"serial"`` (the default: built in process, drains
+        run in the caller, zero overhead) or ``"resident"`` (built
+        inside long-lived worker processes, trees and dense tables
+        alike -- only pending batches and verdicts cross the pipes,
+        O(batch) IPC per drain).  Either way the coordinator keeps only
+        the shard queues.  A failed resident executor refuses every later
         request with :class:`repro.errors.ServiceError`.  A wire
         server drains both on its event loop: a serial drain as plain
         CPU work, a resident one by awaiting the worker pipes that

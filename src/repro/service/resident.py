@@ -1,17 +1,18 @@
 """Resident shard workers: each worker process owns its shards' state.
 
-The ``resident`` executor backend moves shard state into worker
-processes once, at startup, so that a drain costs O(batch) IPC, not
+The ``resident`` executor backend builds shard state inside worker
+processes, once, at startup, so that a drain costs O(batch) IPC, not
 O(state) -- a dense group's mutable ``C``/``H`` int64 tables alone
 reach 16 MiB at ``kernel_cap=20``, and none of it crosses a process
-boundary:
+boundary or exists in the coordinator:
 
 * Each long-lived worker process permanently owns a fixed set of
-  shards, rebuilt in-worker once at startup from a
+  shards, built in-worker once at startup, each from its
   :class:`~repro.service.shard.ShardSpec` (small, static: group
-  structure + aggregates + preload log).  Tree and dense groups alike
-  are built from the aggregates and replay their preloads in the
-  worker's own heap.
+  structure, aggregates, and the shard's share of the journal) by
+  :meth:`~repro.service.shard.GroupShard.from_spec` -- the one build
+  path, which the serial executor runs in process.  The coordinator
+  keeps only each shard's :class:`~repro.service.shard.ShardQueue`.
 * A drain ships only the pending :class:`ShardRequest` batches, encoded
   as compact tuples over a per-worker pipe, and gets back
   :class:`ShardResult` rows plus :class:`ShardStats` -- per-drain IPC
@@ -31,7 +32,7 @@ Ownership and ordering contract (see DESIGN.md "Serving architecture"):
   caller on an event loop waits for the pipes to become readable between
   the two calls, so it never blocks in the receive.
 * On any worker error the coordinator requeues the taken requests (its
-  own view returns to exactly the pre-dispatch state), marks the
+  queues return to exactly the pre-dispatch state), marks the
   executor failed -- the erroring worker's state can no longer be
   trusted -- and raises :class:`~repro.errors.ServiceError` carrying the
   worker traceback.
@@ -53,6 +54,7 @@ from repro.errors import ServiceError
 from repro.service.executor import DrainOutput
 from repro.service.shard import (
     GroupShard,
+    ShardQueue,
     ShardRequest,
     ShardResult,
     ShardSpec,
@@ -135,20 +137,16 @@ def decode_result(row: Sequence[object]) -> ShardResult:
 def encode_stats(stats: ShardStats) -> Tuple[object, ...]:
     """Flatten one drain's :class:`ShardStats` into its wire tuple.
 
-    ``per_group`` travels as sorted items and ``batch_timings`` -- already
-    plain tuples -- as is, so the payload stays deterministic and
-    O(batch).
+    The counters travel as scalars and ``batch_timings`` -- already plain
+    tuples -- as is, so the payload stays deterministic and O(batch).
     """
     return (
         stats.processed,
-        stats.accepted,
-        stats.rejected,
         stats.batches,
         stats.equations_checked,
         stats.audit_violations,
         stats.kernel_fast_path_hits,
         stats.kernel_fallback,
-        tuple(sorted(stats.per_group.items())),
         tuple(stats.batch_timings),
     )
 
@@ -157,15 +155,12 @@ def decode_stats(row: Sequence[object]) -> ShardStats:
     """Rebuild :class:`ShardStats` from its wire tuple."""
     return ShardStats(
         processed=row[0],  # type: ignore[arg-type]
-        accepted=row[1],  # type: ignore[arg-type]
-        rejected=row[2],  # type: ignore[arg-type]
-        batches=row[3],  # type: ignore[arg-type]
-        equations_checked=row[4],  # type: ignore[arg-type]
-        audit_violations=row[5],  # type: ignore[arg-type]
-        kernel_fast_path_hits=row[6],  # type: ignore[arg-type]
-        kernel_fallback=row[7],  # type: ignore[arg-type]
-        per_group=dict(row[8]),  # type: ignore[call-overload]
-        batch_timings=list(row[9]),  # type: ignore[call-overload]
+        batches=row[1],  # type: ignore[arg-type]
+        equations_checked=row[2],  # type: ignore[arg-type]
+        audit_violations=row[3],  # type: ignore[arg-type]
+        kernel_fast_path_hits=row[4],  # type: ignore[arg-type]
+        kernel_fallback=row[5],  # type: ignore[arg-type]
+        batch_timings=list(row[6]),  # type: ignore[call-overload]
     )
 
 
@@ -179,7 +174,7 @@ def _worker_main(
 ) -> None:
     """Message loop of one resident worker process.
 
-    Closes the coordinator's pipe ends it inherited, rebuilds its shards
+    Closes the coordinator's pipe ends it inherited, builds its shards
     from the specs, acknowledges readiness, then serves drains until the
     ``close`` message or a dropped pipe.  Every reply is one pickled
     tuple; errors travel back as ``("error", traceback)`` so the
@@ -215,10 +210,9 @@ def _worker_main(
                 try:
                     sections: List[Tuple[int, object, object]] = []
                     for shard_id, rows in message[1]:
-                        shard = shards[shard_id]
-                        for row in rows:
-                            shard.enqueue(decode_request(row))
-                        results, stats = shard.process_pending()
+                        results, stats = shards[shard_id].process_pending(
+                            [decode_request(row) for row in rows]
+                        )
                         sections.append(
                             (
                                 shard_id,
@@ -249,16 +243,14 @@ class ResidentProcessExecutor:
     """Drain shards on long-lived worker processes that own their state.
 
     Construction ships each worker its :class:`ShardSpec` set exactly
-    once (fork inherits it; spawn pickles it -- either way, specs are
-    O(config + preload log), never live kernel tables) and blocks until
-    every worker acknowledges readiness.  Thereafter
-    :meth:`dispatch` and :meth:`drain` move only pending batches and
-    verdicts.  ``on_fail``, when given, is called once, when a drain
-    fails and the executor stops accepting work.
-
-    The coordinator's ``shards`` list keeps its *original* (stale)
-    shard objects: queue management still happens there, but equation
-    state advances only inside the owning worker.
+    once (fork inherits it; spawn and forkserver pickle it -- either
+    way, specs are O(config + journal share), never live kernel tables),
+    and each worker builds its shards from them; it blocks until every
+    worker acknowledges readiness.  Thereafter :meth:`dispatch` and
+    :meth:`drain` empty the coordinator's queues and move only pending
+    batches and verdicts.  ``on_fail``, when given, is
+    called once, when a drain fails and the executor stops accepting
+    work.
     """
 
     name = "resident"
@@ -290,11 +282,11 @@ class ResidentProcessExecutor:
         self._failed = False
         self._closed = False
         self._on_fail = on_fail
-        #: Batches sent and not yet collected, one ``(worker, [(shard,
+        #: Batches sent and not yet collected, one ``(worker, [(queue,
         #: taken requests)])`` entry per message, in send order (a worker
         #: answers its messages in the order it received them).
         self._in_flight: List[
-            Tuple[int, List[Tuple[GroupShard, List[ShardRequest]]]]
+            Tuple[int, List[Tuple[ShardQueue, List[ShardRequest]]]]
         ] = []
         #: IPC bytes of the drain in progress (sends so far + replies).
         self._shipped = 0
@@ -354,8 +346,8 @@ class ResidentProcessExecutor:
     # ------------------------------------------------------------------
     # Contract methods
     # ------------------------------------------------------------------
-    def dispatch(self, shards: List[GroupShard]) -> List[Connection]:
-        """Send each shard's pending batch to its owning worker; return
+    def dispatch(self, queues: List[ShardQueue]) -> List[Connection]:
+        """Send each queue's pending batch to its owning worker; return
         the pipes of every worker with a reply outstanding.
 
         The first phase of :meth:`drain`, callable on its own so that an
@@ -366,25 +358,25 @@ class ResidentProcessExecutor:
         returned.
         """
         with self._lock:
-            if shards:
-                self._send_locked(shards)
+            if queues:
+                self._send_locked(queues)
             workers = sorted({worker for worker, _sections in self._in_flight})
             return [self._conns[worker] for worker in workers]
 
-    def drain(self, shards: List[GroupShard]) -> List[Tuple[int, DrainOutput]]:
+    def drain(self, queues: List[ShardQueue]) -> List[Tuple[int, DrainOutput]]:
         """Send what :meth:`dispatch` has not, then collect every reply.
 
         Returns ``[(shard_id, (results, stats))]`` in ascending shard id,
         one entry per shard per message (a shard answers twice when more
         requests reached it between :meth:`dispatch` and this call).  All
         sends happen before any receive, so workers overlap.  On any
-        failure the taken requests are requeued (coordinator state
-        returns to exactly pre-dispatch) and the executor is marked
+        failure the taken requests are requeued (the queues return to
+        exactly their pre-dispatch state) and the executor is marked
         failed -- worker state may have diverged and no further drains
         are accepted.
         """
         with self._lock:
-            self._send_locked(shards)
+            self._send_locked(queues)
             outputs: List[Tuple[int, DrainOutput]] = []
             try:
                 for worker, _sections in self._in_flight:
@@ -409,29 +401,29 @@ class ResidentProcessExecutor:
             outputs.sort(key=lambda output: output[0])
             return outputs
 
-    def _send_locked(self, shards: List[GroupShard]) -> None:
-        """Take and send the pending batch of every shard in ``shards``
+    def _send_locked(self, queues: List[ShardQueue]) -> None:
+        """Take and send the pending batch of every queue in ``queues``
         (one message per owning worker); the caller holds the lock."""
         if self._failed or self._closed:
             raise ServiceError(
                 "resident executor is closed or failed; restart the service"
             )
-        by_worker: Dict[int, List[GroupShard]] = {}
-        for shard in shards:
-            worker = self._owner.get(shard.shard_id)
+        by_worker: Dict[int, List[ShardQueue]] = {}
+        for queue in queues:
+            worker = self._owner.get(queue.shard_id)
             if worker is None:
                 raise ServiceError(
-                    f"shard {shard.shard_id} has no resident worker "
+                    f"shard {queue.shard_id} has no resident worker "
                     f"(executor built for shards {sorted(self._owner)})"
                 )
-            by_worker.setdefault(worker, []).append(shard)
+            by_worker.setdefault(worker, []).append(queue)
         try:
             for worker, owned in sorted(by_worker.items()):
-                sections = [(shard, shard.take_pending()) for shard in owned]
+                sections = [(queue, queue.take_pending()) for queue in owned]
                 self._in_flight.append((worker, sections))
                 batches = [
-                    (shard.shard_id, tuple(map(encode_request, rows)))
-                    for shard, rows in sections
+                    (queue.shard_id, tuple(map(encode_request, rows)))
+                    for queue, rows in sections
                 ]
                 payload = pickle.dumps(("drain", batches), _PROTOCOL)
                 self._shipped += len(payload)
@@ -448,8 +440,8 @@ class ResidentProcessExecutor:
         if self._on_fail is not None:
             self._on_fail()
         for _worker, sections in reversed(self._in_flight):
-            for shard, rows in sections:
-                shard.requeue(rows)
+            for queue, rows in sections:
+                queue.requeue(rows)
         self._in_flight.clear()
         self._shipped = 0
 

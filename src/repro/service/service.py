@@ -44,8 +44,9 @@ import time
 from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import ServiceError, ServiceOverloadedError, ValidationError
-from repro.core.incremental import GroupSlice
+from repro.errors import GroupingError, ServiceError, ServiceOverloadedError
+from repro.errors import ValidationError
+from repro.core.incremental import active_kernel
 from repro.licenses.license import UsageLicense
 from repro.licenses.pool import LicensePool
 from repro.logstore.log import ValidationLog
@@ -66,7 +67,7 @@ from repro.service.executor import SerialExecutor
 from repro.service.metrics import MetricsRegistry
 from repro.service.resident import ResidentProcessExecutor
 from repro.service.shard import (
-    GroupShard,
+    ShardQueue,
     ShardRequest,
     ShardResult,
     ShardSpec,
@@ -162,55 +163,39 @@ class ValidationService:
         #: Why submits, dispatches and drains are refused; empty while
         #: serving.  Set by :meth:`close` and by a failed executor.
         self._refusal = ""
-        self._executor: SerialExecutor | ResidentProcessExecutor = SerialExecutor()
         self.monitor = monitor
-        try:
-            self._build_shards(initial_log)
-            if monitor is not None:
-                monitor.attach(self)
-        except BaseException:
-            # Nothing else owns the workers yet.
-            self.close()
-            raise
-
-    def _build_shards(self, initial_log: Optional[ValidationLog]) -> None:
-        """Build the shard table, replay ``initial_log``, start the executor."""
-        slices_by_shard: Dict[int, Dict[int, GroupSlice]] = {
-            shard_id: {} for shard_id in range(self._shard_count)
-        }
-        for group_id in range(self._tables.group_count):
-            slices_by_shard[group_id % self._shard_count][group_id] = GroupSlice(
-                self._tables.structure,
-                self._tables.aggregates,
-                group_id,
-                kernel=self.config.kernel,
-                kernel_cap=self.config.kernel_cap,
-            )
-        self._shards: List[GroupShard] = [
-            GroupShard(
+        # The coordinator keeps queues and routing (group k -> shard k mod
+        # shard_count); the executor builds and owns the equation state.
+        group_count = self._tables.group_count
+        self._shards: List[ShardQueue] = [
+            ShardQueue(
                 shard_id,
-                slices_by_shard[shard_id],
-                self.config.batch_size,
+                range(shard_id, group_count, self._shard_count),
                 self.config.queue_capacity,
             )
             for shard_id in range(self._shard_count)
         ]
-        self._kernel_by_group: Dict[int, str] = {
-            group_id: gslice.kernel_name
-            for shard_slices in slices_by_shard.values()
-            for group_id, gslice in shard_slices.items()
-        }
-        # Replay BEFORE spawning any executor workers: resident workers
-        # rebuild shard state from the specs, which must carry the full
-        # preload log.
-        if initial_log is not None:
-            self._replay(initial_log)
+        self._kernel_by_group: List[str] = [
+            active_kernel(self.config.kernel, size, self.config.kernel_cap)
+            for size in self._tables.structure.sizes
+        ]
+        specs = self._build_specs(initial_log)
+        self._executor: SerialExecutor | ResidentProcessExecutor
         if self.config.executor == "resident":
             self._executor = ResidentProcessExecutor(
-                self._build_specs(),
+                specs,
                 self.config.workers or self._shard_count,
                 on_fail=self._refuse_after_failure,
             )
+        else:
+            self._executor = SerialExecutor(specs)
+        if monitor is not None:
+            try:
+                monitor.attach(self)
+            except BaseException:
+                # Nothing else owns the workers yet.
+                self.close()
+                raise
 
     # ------------------------------------------------------------------
     # Accessors
@@ -591,34 +576,41 @@ class ValidationService:
         tracer = self.tracer
         return tracer.start_span("drain") if tracer is not None else NULL_SPAN
 
-    def _replay(self, log: ValidationLog) -> None:
-        """Load previously accepted issuances into shard state unchecked
-        (they were validated when first accepted)."""
-        for record in log:
-            members = sorted(record.license_set)
-            group_id = self._tables.group_of[members[0]]
-            shard = self._shards[group_id % self._shard_count]
-            shard.preload(group_id, members, record.count)
-
-    def _build_specs(self) -> List[ShardSpec]:
-        """Build one :class:`ShardSpec` per shard for resident workers.
-
-        Specs are O(config + preload log): group structure, aggregates,
-        and replayed records.
-        """
+    def _build_specs(
+        self, initial_log: Optional[ValidationLog] = None
+    ) -> List[ShardSpec]:
+        """Build one :class:`ShardSpec` per shard, routing each record of
+        ``initial_log`` to its group's shard as a preload: O(config +
+        journal), no equation state.  A record spanning groups raises
+        :class:`GroupingError` before any executor starts."""
+        group_of = self._tables.group_of
+        preloads: List[List[Tuple[int, Tuple[int, ...], int]]] = [
+            [] for _ in self._shards
+        ]
+        for record in initial_log or ():
+            members = tuple(sorted(record.license_set))
+            group_id = group_of[members[0]]
+            strays = [index for index in members if group_of.get(index) != group_id]
+            if strays:
+                raise GroupingError(
+                    f"journal record {record.issued_id!r}: licenses {strays} "
+                    f"are not in group {group_id + 1}"
+                )
+            preloads[group_id % self._shard_count].append(
+                (group_id, members, record.count)
+            )
         return [
             ShardSpec(
-                shard_id=shard.shard_id,
-                group_ids=shard.group_ids,
+                shard_id=queue.shard_id,
+                group_ids=queue.group_ids,
                 batch_size=self.config.batch_size,
-                queue_capacity=self.config.queue_capacity,
                 kernel=self.config.kernel,
                 kernel_cap=self.config.kernel_cap,
                 structure=self._tables.structure,
                 aggregates=tuple(self._tables.aggregates),
-                preloads=shard.preloads,
+                preloads=tuple(preloads[queue.shard_id]),
             )
-            for shard in self._shards
+            for queue in self._shards
         ]
 
     def _complete(

@@ -1,20 +1,30 @@
-"""Group shards: serialized per-group work queues with batched admission.
+"""Group shards: the coordinator's queues and the executors' shard state.
 
-A :class:`GroupShard` owns the :class:`~repro.core.incremental.GroupSlice`
-state of every overlap group assigned to it.  All mutations of a group's
-equation state happen inside its shard's (single-threaded) processing
-loop, so requests touching *different* shards validate concurrently while
-per-group state stays race-free -- the serving-architecture reading of
-Theorem 2: disconnected groups share no validation equations, hence no
-state, hence no locks.
+A shard has two halves with one owner each:
 
-Admission runs in batches: up to ``batch_size`` pending requests are
-drained, each admitted or rejected by an exact group-restricted headroom
-query, and the batch ends with **one** incremental revalidation pass over
-the slices it dirtied.  The per-request decision is exact either way; the
-batch pass is the authority's periodic Algorithm 2 audit, and batching
-amortizes its ``Σ_dirty (2^{N_k} - 1)`` equation cost over the whole
-batch instead of paying it per request.
+* :class:`ShardQueue` is the coordinator's half: a bounded FIFO of the
+  requests routed to the shard, with the capacity (backpressure) and
+  routing checks.  It holds no equation state.
+* :class:`GroupShard` is the executor's half: the
+  :class:`~repro.core.incremental.GroupSlice` state of every overlap
+  group assigned to the shard, built only by
+  :meth:`GroupShard.from_spec` -- in process by the serial executor, in
+  a worker process by the resident one.
+
+All mutations of a group's equation state happen inside its shard's
+(single-threaded) processing loop, so requests touching *different*
+shards validate concurrently while per-group state stays race-free --
+the serving-architecture reading of Theorem 2: disconnected groups
+share no validation equations, hence no state, hence no locks.
+
+Admission runs in batches: the requests taken from the queue are split
+into runs of up to ``batch_size``, each admitted or rejected by an exact
+group-restricted headroom query, and every batch ends with **one**
+incremental revalidation pass over the slices it dirtied.  The
+per-request decision is exact either way; the batch pass is the
+authority's periodic Algorithm 2 audit, and batching amortizes its
+``Σ_dirty (2^{N_k} - 1)`` equation cost over the whole batch instead of
+paying it per request.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Sequence, Tuple
+from typing import Deque, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.errors import ServiceError, ServiceOverloadedError
 from repro.core.grouping import GroupStructure
@@ -31,6 +41,7 @@ from repro.core.kernel import KERNEL_DENSE
 
 __all__ = [
     "GroupShard",
+    "ShardQueue",
     "ShardRequest",
     "ShardResult",
     "ShardSpec",
@@ -89,8 +100,6 @@ class ShardStats:
     """Aggregate accounting of one processing drain."""
 
     processed: int = 0
-    accepted: int = 0
-    rejected: int = 0
     batches: int = 0
     equations_checked: int = 0
     audit_violations: int = 0
@@ -99,7 +108,6 @@ class ShardStats:
     #: Admissions that *asked* for the dense kernel but were answered by
     #: the tree walk because the group exceeded the kernel cap.
     kernel_fallback: int = 0
-    per_group: Dict[int, int] = field(default_factory=dict)
     #: One plain tuple per batch, ``(size, started, ended, revalidations)``,
     #: where each revalidation is ``(group_id, equations_checked,
     #: violations, started, ended)``; stamps are ``time.perf_counter()``.
@@ -110,20 +118,20 @@ class ShardStats:
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Everything a worker process needs to rebuild one shard in place.
+    """Everything an executor needs to build one shard's state.
 
-    The resident executor ships a spec **once** at startup instead of
-    pickling live shard state per drain: the worker builds the shard's
-    :class:`~repro.core.incremental.GroupSlice` objects -- trees and
-    dense tables alike -- from the (small, static) group structure +
-    aggregates, then replays ``preloads`` into them.  The worker is
-    then the only owner of that state; only pipes cross processes.
+    Both executors build their shards from specs -- the serial one in
+    process at construction, the resident one inside its workers at
+    start-up -- so a group's equation state has one build path and one
+    owner; the coordinator keeps only the :class:`ShardQueue`.  A spec
+    is small and static: the group structure, the aggregates, config
+    scalars, and the shard's share of the journal, which
+    :meth:`GroupShard.from_spec` replays into the slices it builds.
     """
 
     shard_id: int
     group_ids: Tuple[int, ...]
     batch_size: int
-    queue_capacity: int
     kernel: str
     kernel_cap: int
     structure: GroupStructure
@@ -132,70 +140,30 @@ class ShardSpec:
     preloads: Tuple[Tuple[int, Tuple[int, ...], int], ...]
 
 
-class GroupShard:
-    """One serialized lane of the service (see module docstring)."""
+class ShardQueue:
+    """The coordinator's bounded FIFO of one shard's routed requests.
+
+    An executor empties it with :meth:`take_pending` and hands the
+    requests to the :class:`GroupShard` it built for the same shard id;
+    after a failed drain it puts them back with :meth:`requeue`.
+    """
 
     def __init__(
-        self,
-        shard_id: int,
-        slices: Dict[int, GroupSlice],
-        batch_size: int,
-        queue_capacity: int,
-    ):
-        if batch_size < 1:
-            raise ServiceError(f"batch_size must be >= 1, got {batch_size}")
-        if queue_capacity < 1:
-            raise ServiceError(f"queue_capacity must be >= 1, got {queue_capacity}")
-        self.shard_id = shard_id
-        self._slices = slices
-        self._batch_size = batch_size
-        self._capacity = queue_capacity
+        self, shard_id: int, group_ids: Iterable[int], capacity: int
+    ) -> None:
+        if capacity < 1:
+            raise ServiceError(f"queue_capacity must be >= 1, got {capacity}")
+        self.shard_id: int = shard_id
+        #: The 0-based ids of the groups routed here, ascending.
+        self.group_ids: Tuple[int, ...] = tuple(sorted(group_ids))
+        self._owned: FrozenSet[int] = frozenset(self.group_ids)
+        self._capacity: int = capacity
         self._pending: Deque[ShardRequest] = deque()
-        #: Replayed records, kept so a :class:`ShardSpec` built later can
-        #: carry them to a worker (coordinator side only; workers never
-        #: re-record the preloads they replay).
-        self._preloads: List[Tuple[int, Tuple[int, ...], int]] = []
 
-    @classmethod
-    def from_spec(cls, spec: ShardSpec) -> "GroupShard":
-        """Rebuild a shard inside a worker process from its spec.
-
-        Every group's slice is built from the aggregates and the spec's
-        preloads are replayed into it, so the resulting equation state
-        is byte-identical to the coordinator's at spec time.
-        """
-        slices = {
-            group_id: GroupSlice(
-                spec.structure,
-                list(spec.aggregates),
-                group_id,
-                kernel=spec.kernel,
-                kernel_cap=spec.kernel_cap,
-            )
-            for group_id in spec.group_ids
-        }
-        shard = cls(
-            spec.shard_id, slices, spec.batch_size, spec.queue_capacity
-        )
-        for group_id, members, count in spec.preloads:
-            shard.preload(group_id, members, count)
-        # Replayed records are the coordinator's provenance, not this
-        # worker's; keep the worker-side list empty.
-        shard._preloads.clear()
-        return shard
-
-    # ------------------------------------------------------------------
-    # Queue management (called from the service coordinator only)
-    # ------------------------------------------------------------------
     @property
     def depth(self) -> int:
         """Return the current pending-queue depth."""
         return len(self._pending)
-
-    @property
-    def group_ids(self) -> Tuple[int, ...]:
-        """Return the 0-based group ids assigned to this shard."""
-        return tuple(sorted(self._slices))
 
     def enqueue(self, request: ShardRequest) -> None:
         """Queue a request, enforcing the bounded-queue backpressure.
@@ -203,11 +171,13 @@ class GroupShard:
         Raises
         ------
         ServiceOverloadedError
-            When the queue already holds ``queue_capacity`` requests.
+            When the queue already holds ``capacity`` requests.
+        ServiceError
+            When the request's group is not routed to this shard.
         """
         if len(self._pending) >= self._capacity:
             raise ServiceOverloadedError(self.shard_id, len(self._pending))
-        if request.group_id not in self._slices:
+        if request.group_id not in self._owned:
             raise ServiceError(
                 f"request {request.usage_id} for group {request.group_id + 1} "
                 f"routed to shard {self.shard_id}, which owns groups "
@@ -215,25 +185,13 @@ class GroupShard:
             )
         self._pending.append(request)
 
-    def preload(self, group_id: int, members: Sequence[int], count: int) -> None:
-        """Insert an already-validated record into a group's state.
-
-        Used when replaying a restarting authority's journal: the record
-        was admitted in a previous life, so no headroom check is run.
-        """
-        if group_id not in self._slices:
-            raise ServiceError(
-                f"group {group_id + 1} is not owned by shard {self.shard_id}"
-            )
-        self._slices[group_id].insert(members, count)
-        self._preloads.append((group_id, tuple(members), count))
-
     def take_pending(self) -> List[ShardRequest]:
-        """Drain and return the pending queue (coordinator side).
+        """Empty the queue and return its requests in FIFO order.
 
-        The resident executor ships exactly this list -- the batch --
-        across the process boundary; the shard's own queue is left empty
-        so a failed drain can repopulate it atomically.
+        This list is the drain's work for the shard: the serial executor
+        passes it to :meth:`GroupShard.process_pending`, the resident one
+        ships it to the owning worker.  The queue is left empty so a
+        failed drain can :meth:`requeue` it atomically.
         """
         taken = list(self._pending)
         self._pending.clear()
@@ -246,30 +204,63 @@ class GroupShard:
         queue once."""
         self._pending.extendleft(reversed(list(requests)))
 
-    @property
-    def preloads(self) -> Tuple[Tuple[int, Tuple[int, ...], int], ...]:
-        """Return replayed records recorded by :meth:`preload` (the
-        coordinator reads these when building a :class:`ShardSpec`)."""
-        return tuple(self._preloads)
 
-    # ------------------------------------------------------------------
-    # Processing (runs inside the executor worker)
-    # ------------------------------------------------------------------
-    def process_pending(self) -> Tuple[List[ShardResult], ShardStats]:
-        """Drain the queue in batches; return verdicts + batch accounting.
+class GroupShard:
+    """One shard's equation state and its batched admission loop (see
+    the module docstring); built by :meth:`from_spec`."""
 
-        Safe to run on a worker thread/process: only this shard's slices
-        are touched.  FIFO order is preserved, so verdicts depend only on
-        the submission order within each group.
+    def __init__(
+        self, shard_id: int, slices: Dict[int, GroupSlice], batch_size: int
+    ):
+        if batch_size < 1:
+            raise ServiceError(f"batch_size must be >= 1, got {batch_size}")
+        self.shard_id = shard_id
+        self._slices = slices
+        self._batch_size = batch_size
+
+    @classmethod
+    def from_spec(cls, spec: ShardSpec) -> "GroupShard":
+        """Build a shard from its spec.
+
+        Every group's slice is built from the aggregates, then the
+        spec's preloads are inserted into it unchecked: a journal record
+        was admitted in a previous life, so no headroom check is run.
+        """
+        slices = {
+            group_id: GroupSlice(
+                spec.structure,
+                list(spec.aggregates),
+                group_id,
+                kernel=spec.kernel,
+                kernel_cap=spec.kernel_cap,
+            )
+            for group_id in spec.group_ids
+        }
+        for group_id, members, count in spec.preloads:
+            if group_id not in slices:
+                raise ServiceError(
+                    f"group {group_id + 1} is not owned by shard {spec.shard_id}"
+                )
+            slices[group_id].insert(members, count)
+        return cls(spec.shard_id, slices, spec.batch_size)
+
+    def process_pending(
+        self, requests: Sequence[ShardRequest]
+    ) -> Tuple[List[ShardResult], ShardStats]:
+        """Admit ``requests`` in FIFO batches; return verdicts + batch
+        accounting.
+
+        ``requests`` is what this shard's :class:`ShardQueue` held, in
+        queue order.  Only this shard's slices are touched, and FIFO
+        order is preserved, so verdicts depend only on the submission
+        order within each group.
         """
         results: List[ShardResult] = []
-        stats = ShardStats()
+        stats = ShardStats(processed=len(requests))
         clock = time.perf_counter
-        while self._pending:
-            batch = [
-                self._pending.popleft()
-                for _ in range(min(self._batch_size, len(self._pending)))
-            ]
+        size = self._batch_size
+        for start in range(0, len(requests), size):
+            batch = requests[start : start + size]
             batch_started = clock()
             touched: Dict[int, GroupSlice] = {}
             # Dense-kernel batch prefetch: answer every headroom query of
@@ -311,13 +302,6 @@ class GroupShard:
                 if accepted:
                     gslice.insert(request.members, request.count)
                     touched[request.group_id] = gslice
-                    stats.accepted += 1
-                else:
-                    stats.rejected += 1
-                stats.processed += 1
-                stats.per_group[request.group_id] = (
-                    stats.per_group.get(request.group_id, 0) + 1
-                )
                 results.append(
                     ShardResult(
                         seq=request.seq,

@@ -43,9 +43,9 @@ def slow_drains(monkeypatch):
     """Make every shard drain sleep ``SLOW_S`` first."""
     original = GroupShard.process_pending
 
-    def slow(shard):
+    def slow(shard, requests):
         time.sleep(SLOW_S)
-        return original(shard)
+        return original(shard, requests)
 
     monkeypatch.setattr(GroupShard, "process_pending", slow)
 
@@ -83,9 +83,9 @@ def test_serial_drain_runs_on_the_event_loop_thread(workload, monkeypatch):
     threads = []
     original = GroupShard.process_pending
 
-    def recording(shard):
+    def recording(shard, requests):
         threads.append(threading.get_ident())
-        return original(shard)
+        return original(shard, requests)
 
     monkeypatch.setattr(GroupShard, "process_pending", recording)
 

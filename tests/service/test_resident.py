@@ -12,10 +12,13 @@ import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+from repro.core.incremental import GroupSlice
 from repro.errors import GroupingError, ServiceError, ServiceOverloadedError
 from repro.logstore.log import ValidationLog
 from repro.service import ServiceConfig, ValidationService
@@ -99,14 +102,11 @@ class TestWireFormat:
     def test_stats_round_trip_with_timings(self):
         stats = ShardStats(
             processed=5,
-            accepted=4,
-            rejected=1,
             batches=2,
             equations_checked=12,
             audit_violations=0,
             kernel_fast_path_hits=5,
             kernel_fallback=0,
-            per_group={3: 2, 1: 3},
             batch_timings=[(3, 10.0, 10.5, ((1, 7, 0, 10.1, 10.3),))],
         )
         decoded = decode_stats(encode_stats(stats))
@@ -406,8 +406,8 @@ class TestFailedConstruction:
         pool, _stream = workload
         build_specs = ValidationService._build_specs
 
-        def poison_first(service):
-            specs = build_specs(service)
+        def poison_first(service, initial_log=None):
+            specs = build_specs(service, initial_log)
             return [poison(specs[0]), *specs[1:]]
 
         monkeypatch.setattr(ValidationService, "_build_specs", poison_first)
@@ -416,3 +416,96 @@ class TestFailedConstruction:
         with pytest.raises(ServiceError, match="failed to start"):
             ValidationService(pool, config)
         assert set(multiprocessing.active_children()) == children
+
+
+class TestOneBuildPath:
+    """Shard state is built once, by the executor that owns it."""
+
+    @pytest.mark.parametrize(
+        "executor, built", [("serial", [0, 1]), ("resident", [])]
+    )
+    def test_coordinator_builds_equation_state_only_when_serial(
+        self, monkeypatch, executor, built
+    ):
+        """The count sees only this process, never a worker."""
+        groups = []
+        original = GroupSlice.__init__
+
+        def counting(self, structure, aggregates, group_id, **kwargs):
+            groups.append(group_id)
+            original(self, structure, aggregates, group_id, **kwargs)
+
+        monkeypatch.setattr(GroupSlice, "__init__", counting)
+        scenario = example1()
+        config = ServiceConfig(shards=2, kernel="dense", executor=executor)
+        with ValidationService(scenario.pool, config) as service:
+            outcomes = service.process(scenario.usages)
+        assert [outcome.accepted for outcome in outcomes] == [True, True]
+        assert sorted(groups) == built
+
+
+#: Child script: under the start method in argv[1], serve a journal-warmed
+#: pool on resident and serial, assert equal verdicts, print what ran.
+_START_METHOD_CHILD = """
+import multiprocessing
+import sys
+
+from repro.logstore.log import ValidationLog
+from repro.service import ServiceConfig, ValidationService
+from repro.workloads.config import WorkloadConfig
+from repro.workloads.generator import WorkloadGenerator
+
+
+def verdicts(pool, journal, tail, kernel, executor):
+    config = ServiceConfig(shards=2, kernel=kernel, executor=executor)
+    with ValidationService(pool, config, initial_log=journal) as service:
+        return [
+            (o.usage_id, o.accepted, o.rejection_reason)
+            for o in service.process(tail)
+        ]
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    generator = WorkloadGenerator(
+        WorkloadConfig(n_licenses=10, seed=5, n_records=0, target_groups=3)
+    )
+    pool = generator.generate_pool()
+    stream = list(generator.issue_stream(pool, 80, skew=0.6))
+    with ValidationService(pool, ServiceConfig(shards=2)) as cold:
+        cold.process(stream[:40])
+        journal = ValidationLog()
+        for record in cold.log:
+            journal.record(record.license_set, record.count, record.issued_id)
+    for kernel in ("tree", "dense"):
+        serial = verdicts(pool, journal, stream[40:], kernel, "serial")
+        resident = verdicts(pool, journal, stream[40:], kernel, "resident")
+        assert resident == serial, (kernel, resident, serial)
+        assert any(accepted for _id, accepted, _reason in serial)
+    print(multiprocessing.get_start_method(), len(journal), "ok")
+"""
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_resident_verdicts_under_every_start_method(tmp_path, method):
+    """Under ``spawn`` and ``forkserver`` a worker sees only its specs,
+    never state inherited from the coordinator's heap.  The method is set
+    in a child interpreter, never in this test process."""
+    script = tmp_path / "serve.py"
+    script.write_text(_START_METHOD_CHILD)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, str(script), method],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    used, journal_records, status = done.stdout.split()
+    assert (used, status) == (method, "ok")
+    assert int(journal_records) > 0
