@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-import networkx as nx
-
 from repro.errors import GroupingError
 from repro.core.overlap import OverlapGraph
 
@@ -183,8 +181,11 @@ def form_groups_networkx(graph: OverlapGraph) -> GroupStructure:
     """Reference implementation via :func:`networkx.connected_components`.
 
     Must produce the same partition as :func:`form_groups`; kept as a
-    cross-check and for users already holding a networkx graph.
+    cross-check and for users already holding a networkx graph.  networkx
+    is imported on first call, so serving never loads it.
     """
+    import networkx as nx
+
     components = nx.connected_components(graph.to_networkx())
     groups = sorted((frozenset(component) for component in components), key=min)
     return GroupStructure(tuple(groups), graph.n)

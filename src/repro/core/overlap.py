@@ -9,13 +9,14 @@ graph are the *groups* that make validation equations separable.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 from repro.errors import GroupingError
 from repro.geometry.box import Box
 from repro.licenses.pool import LicensePool
+
+if TYPE_CHECKING:  # pragma: no cover - import for annotations only
+    import networkx as nx
 
 __all__ = ["OverlapGraph", "overlap_adjacency"]
 
@@ -123,8 +124,11 @@ class OverlapGraph:
         """Export to a :class:`networkx.Graph` with 1-based node labels.
 
         Used by the cross-check in :mod:`repro.core.grouping` and handy for
-        users who want to visualize the overlap structure.
+        users who want to visualize the overlap structure.  networkx is
+        imported on first call, so serving never loads it.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(1, self._n + 1))
         graph.add_edges_from(self.edges())

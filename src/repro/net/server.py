@@ -540,7 +540,9 @@ class AdmissionServer:
         each in-flight request with ``INTERNAL`` under its own request
         id.
 
-        Returns how many responses were written.  Concurrent callers are
+        Returns how many requests were answered, counting those whose
+        peer has gone: their verdicts were decided and logged, as
+        :attr:`requests_served` counts them.  Concurrent callers are
         serialized; a second caller whose requests were already flushed
         by the first simply finds nothing pending.
         """
@@ -566,19 +568,20 @@ class AdmissionServer:
                     )
             except ServiceError as exc:
                 await self._fail_pending(ordered_seqs, exc)
-                written = 0
+                answered = 0
             else:
-                written = await self._answer(ordered_seqs, outcomes)
+                answered = await self._answer(ordered_seqs, outcomes)
             if cancelled:
                 raise asyncio.CancelledError()
-            return written
+            return answered
 
     async def _answer(
         self, ordered_seqs: List[int], outcomes: List[IssuanceOutcome]
     ) -> int:
-        """Write one RESPONSE per drained request; return how many."""
+        """Write one RESPONSE per drained request; return how many
+        requests were answered, written to a live peer or not."""
         self.metrics.counter("wire_flushes_total").inc()
-        written = 0
+        answered = 0
         for seq, outcome in zip(ordered_seqs, outcomes):
             connection, request_id = self._pending.pop(seq)
             self._requests_served += 1
@@ -593,9 +596,9 @@ class AdmissionServer:
                 protocol.MSG_RESPONSE, request_id, payload, version=version
             )
             await self._send(connection, frame)
-            written += 1
+            answered += 1
         self.metrics.gauge("wire_in_flight").set(len(self._pending))
-        return written
+        return answered
 
     async def _fail_pending(
         self, ordered_seqs: List[int], exc: ServiceError

@@ -21,17 +21,22 @@ paper's engines answer by checking exponentially many equations.  The
 equation-based engines remain the paper's object of study (and report
 *which* sets are violated, which the flow verdict does not); the oracle
 property-checks all of them.
+
+networkx is imported inside the methods that build and solve the network,
+so it loads when an oracle first runs, never on import: the serving path
+does not use it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.logstore.log import ValidationLog
 from repro.validation.bitset import indexes_of
+
+if TYPE_CHECKING:  # pragma: no cover - import for annotations only
+    import networkx as nx
 
 __all__ = ["FlowFeasibilityOracle"]
 
@@ -71,6 +76,8 @@ class FlowFeasibilityOracle:
     # ------------------------------------------------------------------
     def build_network(self, counts_by_mask: Dict[int, int]) -> nx.DiGraph:
         """Build the transportation network for aggregated log counts."""
+        import networkx as nx
+
         universe = (1 << self._n) - 1
         graph = nx.DiGraph()
         graph.add_node(_SOURCE)
@@ -95,6 +102,8 @@ class FlowFeasibilityOracle:
     # ------------------------------------------------------------------
     def max_routable(self, counts_by_mask: Dict[int, int]) -> int:
         """Return the maximum demand that can be feasibly assigned."""
+        import networkx as nx
+
         graph = self.build_network(counts_by_mask)
         value, _ = nx.maximum_flow(graph, _SOURCE, _SINK)
         return int(value)
@@ -118,6 +127,8 @@ class FlowFeasibilityOracle:
         many counts of demand-set ``mask`` a max flow routes to license
         ``j``.  When infeasible the routing is a best-effort partial
         assignment (it maximizes routed demand)."""
+        import networkx as nx
+
         graph = self.build_network(counts_by_mask)
         value, flows = nx.maximum_flow(graph, _SOURCE, _SINK)
         routing: Dict[Tuple[int, int], int] = {}

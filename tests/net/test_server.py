@@ -31,6 +31,14 @@ async def _start_server(pool, *, events=None, **config_kwargs):
     return server, service, host, port
 
 
+async def _until(predicate, timeout=5.0):
+    """Poll ``predicate`` on the running loop until it holds."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.01)
+
+
 class TestConfigValidation:
     def test_bad_max_inflight(self):
         with pytest.raises(ServiceError, match="max_inflight"):
@@ -364,6 +372,122 @@ class TestProtocolHygiene:
                 outcome = await client.request(stream[0])
                 assert outcome.usage_id == stream[0].license_id
                 await client.close()
+            finally:
+                await server.shutdown()
+                service.close()
+
+        run(scenario())
+
+
+class TestFaultMatrix:
+    def test_disconnect_with_full_pipeline_frees_window(self, workload):
+        """A client that vanishes with its window full loses only its
+        replies: the flush decides and logs every request exactly once,
+        the window empties, and the next client sees the same state as
+        an in-process run of the same stream."""
+        pool, stream = workload
+        with ValidationService(pool) as reference:
+            reference.process(stream[:8])
+            expected_log = list(reference.log)
+        with ValidationService(pool) as reference:
+            expected_next = reference.process(stream[:9])[8]
+        assert expected_log, "the prefix must accept something"
+
+        async def scenario():
+            server, service, host, port = await _start_server(
+                pool, max_inflight=8, auto_flush=False
+            )
+            try:
+                client_a = AdmissionClient(host, port, retries=0)
+                await client_a.connect()
+                sent = []
+                for usage in stream[:8]:
+                    request_id = client_a._allocate_id()
+                    sent.append(client_a._register(request_id))
+                    await client_a._send(
+                        encode_frame(
+                            protocol.MSG_REQUEST,
+                            request_id,
+                            protocol.usage_to_payload(usage),
+                        )
+                    )
+                await _until(lambda: server.in_flight == 8)
+                client_a._writer.transport.abort()
+                await _until(lambda: server.connections_open == 0)
+                lost = await asyncio.gather(*sent, return_exceptions=True)
+                assert all(isinstance(exc, TransportError) for exc in lost)
+                await client_a.close()
+
+                # Counted as answered although no byte reached the peer:
+                # the verdicts were decided and logged.
+                assert await server.flush() == 8
+                assert server.in_flight == 0
+                assert server.requests_served == 8
+                assert service.metrics.counter("requests_total").total() == 8
+                assert list(service.log) == expected_log
+
+                async with AdmissionClient(host, port) as client_b:
+                    task = asyncio.ensure_future(client_b.request(stream[8]))
+                    await _until(lambda: server.in_flight == 1)
+                    assert await server.flush() == 1
+                    outcome = await asyncio.wait_for(task, 5.0)
+                assert protocol.outcome_to_payload(
+                    outcome
+                ) == protocol.outcome_to_payload(expected_next)
+                assert service.metrics.counter("requests_total").total() == 9
+            finally:
+                await server.shutdown()
+                service.close()
+
+        run(scenario())
+
+    def test_request_truncated_at_every_offset(self, workload):
+        """A peer that hangs up k bytes into a REQUEST gets HELLO_OK and,
+        for any partial frame, one BAD_REQUEST error; nothing reaches the
+        service, and the server keeps serving."""
+        pool, stream = workload
+        hello = encode_frame(
+            protocol.MSG_HELLO, 1, protocol.hello_payload(), version=1
+        )
+        request = encode_frame(
+            protocol.MSG_REQUEST,
+            2,
+            protocol.usage_to_payload(stream[0]),
+            version=2,
+        )
+
+        async def replies(host, port, data):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(data)
+            writer.write_eof()
+            received = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            await writer.wait_closed()
+            return FrameDecoder().feed(received)
+
+        async def scenario():
+            server, service, host, port = await _start_server(pool)
+            try:
+                for k in range(len(request)):
+                    frames = await replies(host, port, hello + request[:k])
+                    kinds = [frame.msg_type for frame in frames]
+                    if k == 0:
+                        assert kinds == [protocol.MSG_HELLO_OK], k
+                        continue
+                    assert kinds == [
+                        protocol.MSG_HELLO_OK,
+                        protocol.MSG_ERROR,
+                    ], k
+                    assert (
+                        frames[1].payload["code"] == protocol.ERR_BAD_REQUEST
+                    ), k
+                errors = service.metrics.counter("wire_protocol_errors_total")
+                assert errors.value() == len(request) - 1
+                assert server.in_flight == 0
+                assert list(service.log) == []
+                async with AdmissionClient(host, port) as client:
+                    outcome = await client.request(stream[0])
+                assert outcome.usage_id == stream[0].license_id
             finally:
                 await server.shutdown()
                 service.close()
